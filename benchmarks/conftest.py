@@ -82,14 +82,14 @@ def exp_cache(results_dir):
     }
     if CACHE_REPORT.exists():
         # Hand-recorded sections (e.g. the E5 mega-batch migration
-        # timings) survive regeneration of the cache accounting.
+        # timings, cold before/after rows) survive regeneration of the
+        # cache accounting: every key this fixture does not write is kept.
         try:
             previous = json.loads(CACHE_REPORT.read_text())
         except (OSError, ValueError):
             previous = {}
-        for key in ("e5_migration",):
-            if key in previous:
-                payload[key] = previous[key]
+        for key, value in previous.items():
+            payload.setdefault(key, value)
     CACHE_REPORT.write_text(json.dumps(payload, indent=2) + "\n")
 
 

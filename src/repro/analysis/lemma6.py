@@ -79,31 +79,33 @@ class Lemma6Report:
     min_slack_relative: float
 
 
-def _config_geometry(a1: float, a2: float, s2: float, angle_polar: float, angle_azim: float,
-                     dim: int) -> tuple[float, float]:
-    """Distances (h, q) for a concrete embedding of Figure 1.
+def _config_geometry(a1: np.ndarray, a2: np.ndarray, s2: np.ndarray, polar: np.ndarray,
+                     azim: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances ``(h, q)`` for concrete embeddings of Figure 1, one per sample.
 
     ``P_Alg`` at the origin, ``c`` at distance ``a1 + a2`` along +x (so
     ``P'_Alg`` sits between them at ``a1``), and ``P'_Opt`` at distance
-    ``s2`` from ``c`` in the direction given by the sampled angles.
+    ``s2`` from ``c`` in the direction given by the sampled angles.  The
+    norms are ``sqrt(vecdot(v, v))``, the BLAS dot ``np.linalg.norm``
+    takes on one vector, so each sample's distances are bit-identical to
+    a per-sample ``np.linalg.norm``.
     """
-    p_alg = np.zeros(dim)
-    p_alg2 = np.zeros(dim)
-    p_alg2[0] = a1
-    c = np.zeros(dim)
-    c[0] = a1 + a2
-    u = np.zeros(dim)
+    u = np.zeros((a1.size, dim))
     if dim == 1:
-        u[0] = np.sign(np.cos(angle_polar)) or 1.0
+        sign = np.sign(np.cos(polar))
+        u[:, 0] = np.where(sign == 0.0, 1.0, sign)
     elif dim == 2:
-        u[0], u[1] = np.cos(angle_polar), np.sin(angle_polar)
+        u[:, 0], u[:, 1] = np.cos(polar), np.sin(polar)
     else:
-        u[0] = np.cos(angle_polar)
-        u[1] = np.sin(angle_polar) * np.cos(angle_azim)
-        u[2] = np.sin(angle_polar) * np.sin(angle_azim)
-    p_opt2 = c + s2 * u
-    h = float(np.linalg.norm(p_opt2 - p_alg))
-    q = float(np.linalg.norm(p_opt2 - p_alg2))
+        u[:, 0] = np.cos(polar)
+        u[:, 1] = np.sin(polar) * np.cos(azim)
+        u[:, 2] = np.sin(polar) * np.sin(azim)
+    p_opt2 = s2[:, None] * u
+    p_opt2[:, 0] += a1 + a2
+    rel_alg2 = p_opt2.copy()
+    rel_alg2[:, 0] -= a1
+    h = np.sqrt(np.vecdot(p_opt2, p_opt2))
+    q = np.sqrt(np.vecdot(rel_alg2, rel_alg2))
     return h, q
 
 
@@ -155,39 +157,24 @@ def sample_lemma6(
         bound_premise = np.sqrt(delta) / (1.0 + delta)
     bound_conclusion = (1.0 + 0.5 * delta) / (1.0 + delta)
 
-    checked = 0
-    violations = 0
-    min_slack = np.inf
-    min_rel = np.inf
-    while checked < n_samples:
-        batch = n_samples - checked
-        a1 = np.exp(rng.uniform(np.log(1e-3), np.log(scale), size=batch))
-        a2 = np.exp(rng.uniform(np.log(1e-3), np.log(scale), size=batch))
-        # Premise: s2 <= bound_premise * a2 — sample inside it.
-        s2 = rng.uniform(0.0, 1.0, size=batch) * bound_premise * a2
-        if acute_only:
-            # Offset direction within 90° of +x (the a2 axis away from the
-            # servers): polar angle in [-pi/2, pi/2].
-            polar = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size=batch)
-        else:
-            polar = rng.uniform(0.0, 2.0 * np.pi, size=batch)
-        azim = rng.uniform(0.0, 2.0 * np.pi, size=batch)
-        for i in range(batch):
-            h, q = _config_geometry(a1[i], a2[i], s2[i], polar[i], azim[i], dim)
-            slack = (h - q) - bound_conclusion * a1[i]
-            checked += 1
-            if slack < -tolerance * max(1.0, a1[i]):
-                violations += 1
-            if slack < min_slack:
-                min_slack = slack
-            rel = slack / a1[i]
-            if rel < min_rel:
-                min_rel = rel
+    a1 = np.exp(rng.uniform(np.log(1e-3), np.log(scale), size=n_samples))
+    a2 = np.exp(rng.uniform(np.log(1e-3), np.log(scale), size=n_samples))
+    # Premise: s2 <= bound_premise * a2 — sample inside it.
+    s2 = rng.uniform(0.0, 1.0, size=n_samples) * bound_premise * a2
+    if acute_only:
+        # Offset direction within 90° of +x (the a2 axis away from the
+        # servers): polar angle in [-pi/2, pi/2].
+        polar = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size=n_samples)
+    else:
+        polar = rng.uniform(0.0, 2.0 * np.pi, size=n_samples)
+    azim = rng.uniform(0.0, 2.0 * np.pi, size=n_samples)
+    h, q = _config_geometry(a1, a2, s2, polar, azim, dim)
+    slack = (h - q) - bound_conclusion * a1
     return Lemma6Report(
-        n_checked=checked,
-        violations=violations,
-        min_slack=float(min_slack),
-        min_slack_relative=float(min_rel),
+        n_checked=n_samples,
+        violations=int(np.count_nonzero(slack < -tolerance * np.maximum(1.0, a1))),
+        min_slack=float(slack.min(initial=np.inf)),
+        min_slack_relative=float((slack / a1).min(initial=np.inf)),
     )
 
 
