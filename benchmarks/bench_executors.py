@@ -20,7 +20,7 @@ machine-readable wall-clocks to ``BENCH_executors.json``:
 ``os.cpu_count()`` is recorded alongside: on a single-CPU container the
 point of the process/spool rows is *parity* (identical tables, bounded
 overhead), not speedup — multi-worker wins need multi-core hardware,
-which is what the CI ``distributed-smoke`` job exercises.
+which is what the CI ``experiments-smoke`` job exercises.
 
 Usage::
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -152,11 +153,19 @@ def _resolve_executor(args: argparse.Namespace, has_store: bool):
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .core.store import ResultsStore
-    from .experiments import EXPERIMENTS, run_all_detailed
+    from .experiments import SPECS, run_all_detailed
 
     _apply_no_fuse(args)
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
+        return 2
+    unknown = [eid for eid in args.ids or () if eid not in SPECS]
+    if unknown:
+        print(f"unknown experiment id(s) {', '.join(unknown)}; "
+              f"valid ids: {', '.join(SPECS)}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        print(f"--scale must be a finite number > 0 (got {args.scale})", file=sys.stderr)
         return 2
     if args.store_gc is not None and not args.store:
         print("--store-gc needs a persistent store (--store DIR)", file=sys.stderr)
@@ -165,7 +174,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    ids = args.ids if args.ids else list(EXPERIMENTS)
+    ids = args.ids if args.ids else list(SPECS)
     store = ResultsStore(args.store) if args.store else None
     report, error_code = _run_distributed(
         lambda: run_all_detailed(ids, scale=args.scale, seed=args.seed,

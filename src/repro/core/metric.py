@@ -14,8 +14,8 @@ Three families are registered:
 
 ``euclidean``
     ℓ2 — the fast default.  Its methods delegate to the module-level
-    functions below (moved here verbatim from ``core.geometry``), so the
-    code path of every existing experiment is bit-identical.
+    functions below, so the code path of every existing experiment is
+    bit-identical.
 ``l1`` / ``linf``
     Minkowski norms.  Straight lines are geodesics in any normed space,
     so ``move_towards`` is the same scaled segment walk with the norm
@@ -34,10 +34,9 @@ method performs the exact same float64 arithmetic per row as its scalar
 counterpart (see ``tests/test_metric.py``).
 
 The module-level Euclidean helpers (:func:`distance`,
-:func:`move_towards`, :func:`row_norms`, …) remain importable directly —
+:func:`move_towards`, :func:`row_norms`, …) are importable directly —
 they are the engine's hot path and the arithmetic reference the batched
-engine's bit-parity contract is written against.  ``core.geometry`` is
-now a deprecated shim re-exporting them.
+engine's bit-parity contract is written against.
 """
 
 from __future__ import annotations
@@ -82,9 +81,9 @@ EPS: float = 1e-9
 
 # ---------------------------------------------------------------------------
 # Module-level Euclidean primitives (the engine's ℓ2 hot path).
-# Moved verbatim from ``core.geometry``; arithmetic must not change — the
-# bit-parity contract of the batched engine and every golden table is
-# written against these exact reduction orders.
+# Arithmetic must not change — the bit-parity contract of the batched
+# engine and every golden table is written against these exact reduction
+# orders.
 # ---------------------------------------------------------------------------
 
 

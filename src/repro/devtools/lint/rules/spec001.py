@@ -1,8 +1,8 @@
-"""SPEC001 — experiment ids are unique and the registries agree.
+"""SPEC001 — experiment ids are unique.
 
-Every experiment is addressed by its id in two dict literals
-(``SPECS`` and ``EXPERIMENTS`` in ``experiments/__init__.py``) and by
-the ``experiment_id=`` its module passes to
+Every experiment is addressed by its id in one dict literal (``SPECS``
+in ``experiments/__init__.py``; ``EXPERIMENTS`` is derived from it) and
+by the ``experiment_id=`` its module passes to
 :class:`~repro.api.spec.ExperimentSpec`.  A duplicate literal key in a
 dict is legal Python that silently drops the earlier entry, and two
 modules claiming the same ``experiment_id`` would collide in reports
@@ -11,11 +11,9 @@ tests until the shadowed experiment is missed.
 
 This project-wide rule checks, purely from the ASTs:
 
-* ``SPECS`` and ``EXPERIMENTS`` contain no duplicate literal keys;
+* ``SPECS`` contains no duplicate literal keys;
 * no two experiment modules construct an ``ExperimentSpec`` with the
-  same literal ``experiment_id``;
-* the two registries cover the same id set (a spec without a runner, or
-  a runner without a spec, is flagged on the dict that has the extra).
+  same literal ``experiment_id``.
 
 Like REG001, the rule reads its registry module by fixed repo-relative
 path and silently skips when it is absent (linting fixtures or a
@@ -71,7 +69,7 @@ def _spec_ids(module: ParsedModule) -> List[Tuple[str, int]]:
 
 @rule(
     "SPEC001",
-    "experiment ids are unique across SPECS/EXPERIMENTS and ExperimentSpec declarations",
+    "experiment ids are unique across SPECS and ExperimentSpec declarations",
     project=True,
 )
 def check_spec001(index: ModuleIndex) -> Iterator[Finding]:
@@ -79,40 +77,18 @@ def check_spec001(index: ModuleIndex) -> Iterator[Finding]:
     if registry is None:
         return
 
-    dicts = {}
-    for dict_name in ("SPECS", "EXPERIMENTS"):
-        dict_node = _dict_assignment(registry, dict_name)
-        if dict_node is None:
-            continue
-        occurrences = _literal_key_occurrences(dict_node)
-        seen: Dict[str, int] = {}
-        for key, line in occurrences:
-            if key in seen:
-                yield Finding(
-                    path=registry.relpath, line=line, col=0, rule="SPEC001",
-                    message=f"duplicate {dict_name} key {key!r} (first at line "
-                            f"{seen[key]}) — the earlier entry is silently "
-                            "shadowed",
-                )
-            else:
-                seen[key] = line
-        dicts[dict_name] = seen
-
-    if "SPECS" in dicts and "EXPERIMENTS" in dicts:
-        for key in sorted(set(dicts["SPECS"]) - set(dicts["EXPERIMENTS"])):
+    specs = _dict_assignment(registry, "SPECS")
+    seen: Dict[str, int] = {}
+    for key, line in _literal_key_occurrences(specs) if specs is not None else ():
+        if key in seen:
             yield Finding(
-                path=registry.relpath, line=dicts["SPECS"][key], col=0,
-                rule="SPEC001",
-                message=f"SPECS declares {key!r} but EXPERIMENTS has no "
-                        "runner for it",
+                path=registry.relpath, line=line, col=0, rule="SPEC001",
+                message=f"duplicate SPECS key {key!r} (first at line "
+                        f"{seen[key]}) — the earlier entry is silently "
+                        "shadowed",
             )
-        for key in sorted(set(dicts["EXPERIMENTS"]) - set(dicts["SPECS"])):
-            yield Finding(
-                path=registry.relpath, line=dicts["EXPERIMENTS"][key], col=0,
-                rule="SPEC001",
-                message=f"EXPERIMENTS declares {key!r} but SPECS has no "
-                        "spec builder for it",
-            )
+        else:
+            seen[key] = line
 
     # experiment_id literals across the experiment modules: the first
     # module to claim an id owns it; later claimants are findings.

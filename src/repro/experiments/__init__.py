@@ -1,17 +1,15 @@
 """Experiment harness: one module per reproduced theorem/lemma.
 
-``EXPERIMENTS`` maps experiment ids to their ``run(scale, seed)``
-callables; :func:`run_all` executes a subset and returns the results.
-
-Every experiment appears in ``SPECS`` (id → ``build_spec(scale, seed)``):
-its sweep is flattened into work units that execute in parallel across
-processes and cache per-cell in a persistent results store, so the whole
-suite shares one scheduler, one cache and one ``--jobs`` fan-out.  The
-E4/E8–E16 builders lower a declarative :class:`repro.api.ExperimentSpec`
-(grid + registry-addressed reducer); the rest declare their work units
-directly.
+``SPECS`` (id → ``build_spec(scale, seed)``) is the one experiment
+table: every experiment is an orchestrator sweep whose work units
+execute in parallel across processes and cache per-cell in a persistent
+results store, so the whole suite shares one scheduler, one cache and
+one ``--jobs`` fan-out.  ``EXPERIMENTS`` is derived from it (id →
+``run(scale, seed)`` executing that sweep inline); :func:`run_all`
+executes a subset and returns the results.
 """
 
+from functools import partial
 from typing import Callable, Dict
 
 from . import (
@@ -33,7 +31,7 @@ from . import (
     e16_facility,
     e17_dimension,
 )
-from .orchestrator import ExecutionReport, SweepSpec, execute, execute_spec, legacy_spec
+from .orchestrator import ExecutionReport, SweepSpec, execute, execute_spec
 from .runner import ExperimentResult
 
 #: Every experiment declared as an orchestrator sweep (id → spec builder).
@@ -63,52 +61,21 @@ SPECS: Dict[str, Callable[[float, int], SweepSpec]] = {
 }
 
 
-def _spec_runner(eid: str) -> Callable[..., ExperimentResult]:
-    """The canonical (non-deprecated) run entry for a spec-declared experiment."""
-
-    def _run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-        return execute_spec(SPECS[eid](scale, seed))
-
-    _run.__name__ = f"run_{eid.lower()}"
-    _run.__doc__ = f"Run {eid} through its declarative spec."
-    return _run
+def _run(eid: str, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
+    return execute_spec(SPECS[eid](scale, seed))
 
 
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "E1": e1_thm1.run,
-    "E2": e2_thm2.run,
-    "E3": e3_thm3.run,
-    # E4/E8–E16's module-level ``run`` functions are deprecation shims;
-    # the registry routes straight through their specs instead.
-    "E4": _spec_runner("E4"),
-    "E5": e5_mtc_plane.run,
-    "E6": e6_answer_first.run,
-    "E7": e7_moving_client_lb.run,
-    "E8": _spec_runner("E8"),
-    "E9": _spec_runner("E9"),
-    "E10": _spec_runner("E10"),
-    "E11": _spec_runner("E11"),
-    "E12": _spec_runner("E12"),
-    "E13": _spec_runner("E13"),
-    "E14": _spec_runner("E14"),
-    "E15": _spec_runner("E15"),
-    "E16": _spec_runner("E16"),
-    "E17": e17_dimension.run,
-}
+#: ``EXPERIMENTS[eid](scale=..., seed=...)`` runs one experiment inline.
+EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {eid: partial(_run, eid) for eid in SPECS}
 
 
 def build_specs(ids: list[str] | None = None, scale: float = 1.0, seed: int = 0) -> list[SweepSpec]:
-    """One spec per requested experiment (legacy ones get one-cell wrappers)."""
-    chosen = ids if ids is not None else list(EXPERIMENTS)
-    specs = []
+    """One spec per requested experiment (all by default)."""
+    chosen = ids if ids is not None else list(SPECS)
     for eid in chosen:
-        if eid not in EXPERIMENTS:
-            raise KeyError(f"unknown experiment {eid!r}; available: {', '.join(EXPERIMENTS)}")
-        if eid in SPECS:
-            specs.append(SPECS[eid](scale, seed))
-        else:
-            specs.append(legacy_spec(eid, scale, seed))
-    return specs
+        if eid not in SPECS:
+            raise KeyError(f"unknown experiment {eid!r}; available: {', '.join(SPECS)}")
+    return [SPECS[eid](scale, seed) for eid in chosen]
 
 
 def run_all_detailed(

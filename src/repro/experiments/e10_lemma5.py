@@ -13,7 +13,6 @@ whether the transfer inequality held.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 
@@ -21,9 +20,9 @@ from ..algorithms import MoveToCenter
 from ..analysis import collapse_to_centers, measure_ratio
 from ..api import ExperimentSpec, cell_grid
 from ..workloads import ClusteredWorkload, DriftWorkload, RandomWalkWorkload
-from .runner import ExperimentResult, scaled, sweep_seeds
+from .runner import scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_collapse", "run", "spec"]
+__all__ = ["build_spec", "cell_collapse", "spec"]
 
 _MODULE = "repro.experiments.e10_lemma5"
 WORKLOAD_NAMES = ["random-walk", "drift", "clustered"]
@@ -89,12 +88,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e10_lemma5.run() is deprecated; E10 is declared as an "
-        "ExperimentSpec — use spec(scale, seed).run() or repro.experiments.run_all(['E10'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

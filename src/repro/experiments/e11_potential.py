@@ -20,7 +20,6 @@ Declared as an :class:`~repro.api.ExperimentSpec`: one function cell per
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
@@ -31,9 +30,9 @@ from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
 from ..core.simulator import simulate
 from ..offline import solve_line
 from ..workloads import DriftWorkload
-from .runner import ExperimentResult, scaled, sweep_seeds
+from .runner import scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_potential", "run", "spec"]
+__all__ = ["build_spec", "cell_potential", "spec"]
 
 _MODULE = "repro.experiments.e11_potential"
 DELTAS = [1.0, 0.5, 0.25]
@@ -111,12 +110,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e11_potential.run() is deprecated; E11 is declared as an "
-        "ExperimentSpec — use spec(scale, seed).run() or repro.experiments.run_all(['E11'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

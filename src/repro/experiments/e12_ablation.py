@@ -21,16 +21,15 @@ construction's own cost.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..api import Scenario, scenario_unit
-from .orchestrator import SweepSpec, execute_spec
+from .orchestrator import SweepSpec
 from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "finalize", "run"]
+__all__ = ["build_spec", "finalize"]
 
 _MODULE = "repro.experiments.e12_ablation"
 DELTA = 0.5
@@ -135,13 +134,3 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         notes=notes,
         passed=ok,
     )
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e12_ablation.run() is deprecated; E12 is declared as an "
-        "orchestrator spec — use build_spec(scale, seed) or "
-        "repro.experiments.run_all(['E12'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return execute_spec(build_spec(scale, seed))

@@ -24,7 +24,6 @@ both networks draw from a single RNG stream).
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
@@ -45,10 +44,10 @@ from ..pagemigration import (
     simulate_page_migration,
 )
 from ..workloads import standard_suite
-from .orchestrator import SweepSpec, WorkUnit, execute_spec
+from .orchestrator import SweepSpec, WorkUnit
 from .runner import ExperimentResult, scaled
 
-__all__ = ["build_spec", "finalize", "run"]
+__all__ = ["build_spec", "finalize"]
 
 _MODULE = "repro.experiments.e13_baselines"
 _DELTA = 0.5
@@ -198,13 +197,3 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         notes=notes,
         passed=ok,
     )
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e13_baselines.run() is deprecated; E13 is declared as an "
-        "orchestrator spec — use build_spec(scale, seed) or "
-        "repro.experiments.run_all(['E13'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return execute_spec(build_spec(scale, seed))

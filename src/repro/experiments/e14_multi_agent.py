@@ -16,7 +16,6 @@ reducer (per-(k, T) means, flatness check, contrast rows).
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
@@ -27,9 +26,9 @@ from ..core.simulator import simulate
 from ..extensions import MultiAgentInstance, MultiAgentMtC
 from ..offline import solve_line
 from ..workloads import random_waypoint_path
-from .runner import ExperimentResult, scaled, sweep_seeds
+from .runner import scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_patrol", "cell_sprint", "run", "spec"]
+__all__ = ["build_spec", "cell_patrol", "cell_sprint", "spec"]
 
 _MODULE = "repro.experiments.e14_multi_agent"
 D = 4.0
@@ -120,12 +119,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e14_multi_agent.run() is deprecated; E14 is declared as an "
-        "ExperimentSpec — use spec(scale, seed).run() or repro.experiments.run_all(['E14'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

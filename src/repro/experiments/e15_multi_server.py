@@ -20,7 +20,6 @@ per cell and certifies all three strategies — folded by the
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
@@ -33,9 +32,9 @@ from ..extensions import (
     simulate_k_servers,
     solve_two_servers_line,
 )
-from .runner import ExperimentResult, scaled, sweep_seeds
+from .runner import scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_regime", "run", "spec"]
+__all__ = ["build_spec", "cell_regime", "spec"]
 
 _MODULE = "repro.experiments.e15_multi_server"
 #: regime label → hotspot speed
@@ -133,12 +132,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e15_multi_server.run() is deprecated; E15 is declared as an "
-        "ExperimentSpec — use spec(scale, seed).run() or repro.experiments.run_all(['E15'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

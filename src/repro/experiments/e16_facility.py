@@ -18,16 +18,15 @@ identical batches — folded by the ``e16/facility`` reducer.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
 from ..extensions import MeyersonStatic, MobileMeyerson, simulate_facilities
-from .runner import ExperimentResult, scaled, sweep_seeds
+from .runner import scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_pair", "run", "spec"]
+__all__ = ["build_spec", "cell_pair", "spec"]
 
 _MODULE = "repro.experiments.e16_facility"
 WORKLOAD_NAMES = ["drift", "stationary"]
@@ -115,12 +114,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e16_facility.run() is deprecated; E16 is declared as an "
-        "ExperimentSpec — use spec(scale, seed).run() or repro.experiments.run_all(['E16'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

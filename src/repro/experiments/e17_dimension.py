@@ -29,10 +29,10 @@ from ..analysis import (
     measures_to_payload,
 )
 from ..workloads import RandomWalkWorkload
-from .orchestrator import SweepSpec, WorkUnit, execute_spec
+from .orchestrator import SweepSpec, WorkUnit
 from .runner import ExperimentResult, scaled, seeded_instances, sweep_seeds
 
-__all__ = ["build_spec", "finalize", "run"]
+__all__ = ["build_spec", "finalize"]
 
 _MODULE = "repro.experiments.e17_dimension"
 DIMS = [1, 2, 3, 5, 8]
@@ -106,7 +106,3 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         notes=notes,
         passed=ok,
     )
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    return execute_spec(build_spec(scale, seed))

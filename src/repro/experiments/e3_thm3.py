@@ -22,10 +22,10 @@ import numpy as np
 
 from ..analysis import fit_linear
 from ..api import Scenario, scenario_unit
-from .orchestrator import SweepSpec, execute_spec
+from .orchestrator import SweepSpec
 from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "finalize", "run"]
+__all__ = ["build_spec", "finalize"]
 
 _MODULE = "repro.experiments.e3_thm3"
 RS = [1, 4, 16, 64]
@@ -98,7 +98,3 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         notes=notes,
         passed=ok,
     )
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    return execute_spec(build_spec(scale, seed))

@@ -20,7 +20,6 @@ into the table.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
@@ -37,9 +36,9 @@ from ..analysis import (
 from ..api import CellSpec, ExperimentSpec, Reduction, register_reducer
 from ..offline import bracket_optimum
 from ..workloads import DriftWorkload, RandomWalkWorkload
-from .runner import ExperimentResult, scaled, seeded_instances, sweep_seeds
+from .runner import scaled, seeded_instances, sweep_seeds
 
-__all__ = ["build_spec", "run", "spec"]
+__all__ = ["build_spec", "spec"]
 
 _MODULE = "repro.experiments.e4_mtc_line"
 DELTAS = [1.0, 0.5, 0.25, 0.125]
@@ -172,12 +171,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e4_mtc_line.run() is deprecated; E4 is declared as an "
-        "ExperimentSpec — use spec(scale, seed).run() or repro.experiments.run_all(['E4'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

@@ -25,10 +25,10 @@ from ..api.runtime import scenario_units
 from ..api.scenario import Scenario
 from ..offline import bracket_optimum
 from ..workloads import RandomWalkWorkload
-from .orchestrator import SweepSpec, WorkUnit, execute_spec, grid
+from .orchestrator import SweepSpec, WorkUnit, grid
 from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "finalize", "run"]
+__all__ = ["build_spec", "finalize"]
 
 _MODULE = "repro.experiments.e5_mtc_plane"
 DELTAS = [1.0, 0.5, 0.25, 0.125]
@@ -133,7 +133,3 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         notes=notes,
         passed=ok,
     )
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    return execute_spec(build_spec(scale, seed))

@@ -26,10 +26,10 @@ import numpy as np
 from ..api import Scenario, build_instances, run as run_scenario
 from ..core.costs import CostModel
 from ..offline import solve_line
-from .orchestrator import SweepSpec, WorkUnit, execute_spec
+from .orchestrator import SweepSpec, WorkUnit
 from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_inflation", "finalize", "run"]
+__all__ = ["build_spec", "cell_inflation", "finalize"]
 
 _MODULE = "repro.experiments.e6_answer_first"
 RS = [1, 2, 4, 8, 16]
@@ -103,7 +103,3 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         notes=notes,
         passed=ok,
     )
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    return execute_spec(build_spec(scale, seed))

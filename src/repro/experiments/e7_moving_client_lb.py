@@ -19,10 +19,10 @@ import numpy as np
 
 from ..analysis import fit_power_law
 from ..api import Scenario, scenario_unit
-from .orchestrator import SweepSpec, execute_spec
+from .orchestrator import SweepSpec
 from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "finalize", "run"]
+__all__ = ["build_spec", "finalize"]
 
 _MODULE = "repro.experiments.e7_moving_client_lb"
 EPSILONS = [0.25, 1.0]
@@ -94,7 +94,3 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         notes=notes,
         passed=ok,
     )
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    return execute_spec(build_spec(scale, seed))

@@ -20,7 +20,6 @@ pre-scaled horizons (``T_wl``/``T_steps``) rather than axis values, which
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
@@ -33,9 +32,9 @@ from ..core.engine import simulate_batch
 from ..core.simulator import simulate
 from ..offline import bracket_optimum
 from ..workloads import PatrolAgentWorkload
-from .runner import ExperimentResult, scaled, seeded_instances, sweep_seeds
+from .runner import scaled, seeded_instances, sweep_seeds
 
-__all__ = ["build_spec", "run", "spec"]
+__all__ = ["build_spec", "spec"]
 
 _MODULE = "repro.experiments.e8_moving_client_mtc"
 TS = [200, 400, 800]
@@ -142,13 +141,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e8_moving_client_mtc.run() is deprecated; E8 is declared "
-        "as an ExperimentSpec — use spec(scale, seed).run() or "
-        "repro.experiments.run_all(['E8'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

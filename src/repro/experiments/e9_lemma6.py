@@ -22,16 +22,15 @@ Declared as an :class:`~repro.api.ExperimentSpec`: one function cell per
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..analysis import figure2_worst_case, sample_lemma6
 from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
-from .runner import ExperimentResult, scaled
+from .runner import scaled
 
-__all__ = ["build_spec", "cell_modes", "run", "spec"]
+__all__ = ["build_spec", "cell_modes", "spec"]
 
 _MODULE = "repro.experiments.e9_lemma6"
 DELTAS = [1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -95,12 +94,3 @@ def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
 
 def build_spec(scale: float = 1.0, seed: int = 0):
     return spec(scale, seed).to_sweep()
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    warnings.warn(
-        "repro.experiments.e9_lemma6.run() is deprecated; E9 is declared as an "
-        "ExperimentSpec — use spec(scale, seed).run() or repro.experiments.run_all(['E9'])",
-        DeprecationWarning, stacklevel=2,
-    )
-    return spec(scale, seed).run()

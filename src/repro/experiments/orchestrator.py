@@ -50,7 +50,6 @@ __all__ = [
     "execute",
     "execute_spec",
     "grid",
-    "legacy_spec",
 ]
 
 
@@ -358,33 +357,3 @@ def execute_spec(spec: SweepSpec, **kwargs: Any) -> ExperimentResult:
     """Convenience wrapper: run one spec, return its result."""
     return execute([spec], **kwargs).results[0]
 
-
-# -- wrapping of experiments that predate the orchestrator -----------------
-
-
-def legacy_spec(experiment_id: str, scale: float, seed: int) -> SweepSpec:
-    """A one-cell spec around a plain ``run(scale, seed)`` experiment.
-
-    Gives non-migrated experiments store caching and cross-experiment
-    parallelism for free: the whole run is a single cell whose payload is
-    the exact :class:`ExperimentResult` round-trip.
-    """
-    unit = WorkUnit(
-        key="run",
-        fn="repro.experiments.orchestrator:cell_run_legacy",
-        params={"experiment_id": experiment_id, "scale": scale, "seed": seed},
-    )
-    return SweepSpec(experiment_id, (unit,),
-                     finalize="repro.experiments.orchestrator:finalize_legacy",
-                     scale=scale, seed=seed)
-
-
-def cell_run_legacy(experiment_id: str, scale: float, seed: int) -> dict:
-    from . import EXPERIMENTS
-
-    result = EXPERIMENTS[experiment_id](scale=scale, seed=seed)
-    return result.as_payload()
-
-
-def finalize_legacy(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
-    return ExperimentResult.from_payload(results["run"])

@@ -1,8 +1,6 @@
 """Fixture registry with every SPEC001 failure mode.
 
 * ``"E1"`` appears twice in SPECS (the first entry is shadowed);
-* ``"E4"`` has a spec builder but no EXPERIMENTS runner;
-* ``"E3"`` has a runner but no SPECS entry;
 * ``e3_imposter`` re-declares ``experiment_id="E1"`` (see that module).
 """
 
@@ -12,11 +10,7 @@ SPECS = {
     "E1": e1_first.build_spec,
     "E2": e2_second.build_spec,
     "E1": e1_first.build_spec,
-    "E4": e2_second.build_spec,
+    "E3": e3_imposter.build_spec,
 }
 
-EXPERIMENTS = {
-    "E1": e1_first.run,
-    "E2": e2_second.run,
-    "E3": e3_imposter.run,
-}
+EXPERIMENTS = {eid: SPECS[eid] for eid in SPECS}

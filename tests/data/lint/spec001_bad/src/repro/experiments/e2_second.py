@@ -13,7 +13,3 @@ def build_spec(scale=1.0):
 def preview():
     # Same id restated inside its own module is one experiment, not a clash.
     return ExperimentSpec(experiment_id="E2", title="second experiment (preview)")
-
-
-def run(scale=1.0):
-    return build_spec(scale)

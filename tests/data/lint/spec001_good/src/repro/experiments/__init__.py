@@ -1,4 +1,4 @@
-"""Fixture registry with SPECS and EXPERIMENTS in perfect agreement."""
+"""Fixture registry in single-table form: SPECS is the only literal table."""
 
 from . import e1_first, e2_second
 
@@ -7,7 +7,4 @@ SPECS = {
     "E2": e2_second.build_spec,
 }
 
-EXPERIMENTS = {
-    "E1": e1_first.run,
-    "E2": e2_second.run,
-}
+EXPERIMENTS = {eid: SPECS[eid] for eid in SPECS}

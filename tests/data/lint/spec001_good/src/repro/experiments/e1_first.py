@@ -8,7 +8,3 @@ def build_spec(scale=1.0):
         experiment_id="E1",
         title="first experiment",
     )
-
-
-def run(scale=1.0):
-    return build_spec(scale)

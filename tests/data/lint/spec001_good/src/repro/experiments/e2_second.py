@@ -12,7 +12,3 @@ def build_spec(scale=1.0):
 
 def preview():
     return ExperimentSpec(experiment_id="E2", title="second experiment (preview)")
-
-
-def run(scale=1.0):
-    return build_spec(scale)

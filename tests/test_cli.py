@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestCLI:
@@ -48,6 +55,24 @@ class TestCLI:
 
     def test_experiments_jobs_validation(self, capsys):
         assert main(["experiments", "--ids", "E9", "--jobs", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--ids", "E99"],
+        ["--ids", "E9", "--scale", "0"],
+        ["--ids", "E9", "--scale", "-1"],
+        ["--ids", "E9", "--scale", "nan"],
+    ], ids=["E99", "scale0", "scale-1", "scale-nan"])
+    def test_experiments_rejects_bad_argument(self, argv):
+        """A bad id or scale is a usage error: one line, exit 2, no traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "experiments", *argv, "--store", ""],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=_SRC),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert argv[-1] in proc.stderr
 
     def test_experiments_parallel_jobs(self, capsys, tmp_path):
         code = main(["experiments", "--ids", "E4", "--scale", "0.1", "--jobs", "2",

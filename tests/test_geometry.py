@@ -1,13 +1,4 @@
-"""Unit and property tests for the Euclidean primitives (repro.core.metric).
-
-These functions lived in ``repro.core.geometry`` before the metric
-refactor; the module now re-exports them as a deprecated shim, which
-:class:`TestGeometryShim` covers.
-"""
-
-import importlib
-import sys
-import warnings
+"""Unit and property tests for the Euclidean primitives (repro.core.metric)."""
 
 import numpy as np
 import pytest
@@ -238,21 +229,3 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             bounding_box(np.empty((0, 2)))
 
-
-class TestGeometryShim:
-    """``repro.core.geometry`` is a deprecated re-export of ``core.metric``."""
-
-    def test_import_warns(self):
-        sys.modules.pop("repro.core.geometry", None)
-        with pytest.warns(DeprecationWarning, match="repro.core.geometry is deprecated"):
-            importlib.import_module("repro.core.geometry")
-
-    def test_reexports_are_the_metric_functions(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sys.modules.pop("repro.core.geometry", None)
-            geometry = importlib.import_module("repro.core.geometry")
-        from repro.core import metric
-
-        for name in geometry.__all__:
-            assert getattr(geometry, name) is getattr(metric, name), name

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from repro.core.store import ResultsStore
-from repro.experiments import EXPERIMENTS, build_specs, run_all, run_all_detailed
+from repro.experiments import EXPERIMENTS, SPECS, build_specs, run_all, run_all_detailed
 from repro.experiments.orchestrator import (
     SweepSpec,
     WorkUnit,
     execute,
     execute_spec,
     grid,
-    legacy_spec,
 )
 from repro.experiments.runner import ExperimentResult, sweep_seeds
 
@@ -233,21 +232,14 @@ class TestSoftDeps:
 
 
 class TestLegacyWrapping:
-    def test_legacy_spec_roundtrip(self, tmp_path):
-        store = ResultsStore(tmp_path / "store")
-        spec = legacy_spec("E9", scale=0.1, seed=0)
-        direct = EXPERIMENTS["E9"](scale=0.1, seed=0)
-        report = execute([spec], store=store)
-        assert report.results[0].render() == direct.render()
-        report2 = execute([legacy_spec("E9", scale=0.1, seed=0)], store=store)
-        assert report2.cached == 1 and report2.computed == 0
-        assert report2.results[0].render() == direct.render()
+    def test_experiments_derived_from_specs(self):
+        assert list(EXPERIMENTS) == list(SPECS)
 
-    def test_build_specs_all_multi_cell(self):
-        """Every experiment is a real sweep now — no one-cell wrappers left."""
-        specs = build_specs(["E4", "E9"], scale=0.1, seed=0)
-        assert specs[0].experiment_id == "E4" and len(specs[0].units) > 1
-        assert specs[1].experiment_id == "E9" and len(specs[1].units) > 1
+    @pytest.mark.parametrize("eid", list(SPECS))
+    def test_build_specs_all_multi_cell(self, eid):
+        """Every experiment is a real sweep — no one-cell wrappers."""
+        (spec,) = build_specs([eid], scale=0.1, seed=0)
+        assert spec.experiment_id == eid and len(spec.units) > 1
 
     def test_run_all_unknown_id_still_rejected(self):
         with pytest.raises(KeyError, match="unknown experiment"):

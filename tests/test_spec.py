@@ -244,16 +244,3 @@ class TestMigratedExperimentSpecs:
         assert spec.experiment_id == eid
         sweep = mod.build_spec(0.1, 0)
         assert sweep.experiment_id == eid and len(sweep.units) > 1
-
-    @pytest.mark.parametrize("module", [
-        "e9_lemma6", "e10_lemma5", "e11_potential", "e12_ablation",
-        "e13_baselines", "e14_multi_agent", "e15_multi_server", "e16_facility",
-    ])
-    def test_run_entry_points_deprecated(self, module):
-        """Legacy run() loop entry points warn and point at the spec."""
-        import importlib
-
-        mod = importlib.import_module(f"repro.experiments.{module}")
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            res = mod.run(scale=0.1, seed=0)
-        assert res.rows  # the shim still returns the real result
