@@ -5,10 +5,17 @@ second — "steps/sec" — at three rungs of the engine ladder:
 
 * the scalar per-instance loop (:func:`repro.core.simulator.simulate`);
 * the lock-step batched engine (:func:`repro.core.engine.simulate_batch`)
-  driving the per-step ``decide_batch`` loop (``fuse=False``);
+  driving its per-step loop with ``fuse=False``, which plays the scalar
+  reference rules through
+  :class:`~repro.algorithms.vectorized.ScalarBatchAdapter` — the "loop"
+  rung of every row below;
 * the fused step kernels (:mod:`repro.core.kernels`, ``fuse=True``),
   which collapse decide/clamp/validate/accounting into block-wise passes
   over the packed request stack.
+
+Rows recorded in ``BENCH_engine.json`` before the batched
+``decide_batch`` classes were removed measured a vectorized per-step
+loop as the "loop" rung instead.
 
 Every comparison first asserts the paths produce bit-identical traces,
 so the numbers can never silently measure different work.  Because this
@@ -62,8 +69,8 @@ FUSED_CONFIGS = (
 FUSED_ALGORITHMS = ("greedy-centroid", "nearest-chaser", "static")
 
 #: Median-family measurement: the MtC/follow kernels against the per-step
-#: batched loop.  The loop pays one cross-lane geometric-median solve per
-#: step *plus* per-lane Python dispatch, so it is orders of magnitude
+#: batched loop.  The loop pays one scalar geometric-median solve per lane
+#: and step plus per-lane Python dispatch, so it is orders of magnitude
 #: slower than the time-major kernels above — a short horizon keeps the
 #: loop baseline affordable while B=256 (the acceptance point) still
 #: exercises the cross-lane solver at full width.
@@ -306,9 +313,9 @@ def test_fused_kernel_speedup(capsys):
 def test_fused_median_family_speedup(capsys):
     """Acceptance: fused MtC ≥ 3× the per-step batched loop at B=256.
 
-    The loop pays a cross-lane median solve per step plus per-lane Python
-    dispatch; the batch-major kernel amortises both over the whole packed
-    stack.  Bit-parity is asserted inside the measurement.
+    The loop pays a scalar median solve per lane and step plus per-lane
+    Python dispatch; the batch-major kernel amortises both over the whole
+    packed stack.  Bit-parity is asserted inside the measurement.
     """
     with capsys.disabled():
         print()

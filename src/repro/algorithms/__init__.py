@@ -25,14 +25,7 @@ from .registry import (
 from .vectorized import (
     VECTORIZED,
     BatchedCoinFlip,
-    BatchedFollowLast,
-    BatchedGreedyCenter,
-    BatchedGreedyCentroid,
-    BatchedLazyThreshold,
-    BatchedMoveToCenter,
-    BatchedMoveToMin,
-    BatchedNearestChaser,
-    BatchedStatic,
+    KernelAlgorithm,
     ScalarBatchAdapter,
     as_vectorized,
     make_vectorized,
@@ -45,18 +38,11 @@ __all__ = [
     "AlgorithmInfo",
     "AnswerFirstMoveToCenter",
     "BatchedCoinFlip",
-    "BatchedFollowLast",
-    "BatchedGreedyCenter",
-    "BatchedGreedyCentroid",
-    "BatchedLazyThreshold",
-    "BatchedMoveToCenter",
-    "BatchedMoveToMin",
-    "BatchedNearestChaser",
-    "BatchedStatic",
     "CoinFlip",
     "FollowLastRequest",
     "GreedyCenter",
     "GreedyCentroid",
+    "KernelAlgorithm",
     "LazyThreshold",
     "MoveToCenter",
     "MoveToMin",

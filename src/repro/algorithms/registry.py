@@ -158,7 +158,7 @@ class AlgorithmInfo:
 
     @property
     def vectorized(self) -> bool:
-        """Whether a truly vectorized batched implementation is registered.
+        """Whether a batched form (a fused kernel or coin-flip's loop) is registered.
 
         The scenario dispatcher (:func:`repro.api.run`) uses this to pick
         the lock-step engine; algorithms without an entry still run
@@ -170,22 +170,15 @@ class AlgorithmInfo:
 
     @property
     def kernel(self) -> bool:
-        """Whether a fused step kernel replays this algorithm's decisions.
+        """Whether a fused step kernel is bound to this registry name.
 
-        True when the vectorized implementation advertises a kernel
-        registered in :data:`repro.core.kernels.KERNELS` — the engine
-        then fuses decide/clamp/validate/accounting into block-wise
-        passes over the packed request stack (bit-identical to the
-        per-step loop; see :mod:`repro.core.kernels`).  Resolved from
-        the vectorized *instance*, so variant names (``lazy-aggressive``,
-        ``follow-smooth``) correctly report their family's kernel.
+        The engine then fuses decide/clamp/validate/accounting into
+        block-wise passes over packed ℓ2 request stacks (bit-identical to
+        the scalar rules; see :mod:`repro.core.kernels`).
         """
-        if not self.vectorized:
-            return False
         from ..core.kernels import kernel_for
-        from .vectorized import make_vectorized
 
-        return kernel_for(make_vectorized(self.name)) is not None
+        return kernel_for(self.name) is not None
 
 
 def algorithm_info(name: str) -> AlgorithmInfo:

@@ -1,51 +1,45 @@
-"""Vectorized (batched) implementations of the online algorithms.
+"""Batched forms of the online algorithms.
 
-Each class here is the :class:`~repro.core.engine.VectorizedAlgorithm`
-counterpart of one scalar :class:`~repro.algorithms.base.OnlineAlgorithm`:
-it plays ``B`` independent instances in lock-step, holding its per-lane
-state (pursuit targets, phase buffers, RNG streams) in arrays and Python
-lists indexed by lane.  The decision arithmetic — clamped moves, damping,
-thresholds — runs as whole-batch NumPy operations; only the geometric
-median (:func:`repro.median.request_center`), whose tie-broken exact
-solver is inherently per-batch, is evaluated in a short per-lane loop.
-Because every lane performs bit-identical float64 operations to the scalar
-algorithm, batched runs reproduce scalar traces exactly (the equivalence
-suite asserts this for every registry entry).
+Every registry algorithm runs under :func:`repro.core.engine.simulate_batch`
+in one of two batched forms:
 
-:class:`ScalarBatchAdapter` is the generic fallback: it instantiates one
-scalar algorithm per lane and forwards ``decide`` calls, so *every*
-registry algorithm — including scalar-only ones like ``work-function`` —
-works under :func:`repro.core.engine.simulate_batch` unchanged.
+* its fused step kernel (:data:`repro.core.kernels.KERNELS`), wrapped
+  here as :class:`KernelAlgorithm`.  The engine hands packed ℓ2 request
+  stacks straight to :func:`~repro.core.kernels.run_fused`; serve waves
+  step the same kernel one step at a time through
+  :meth:`KernelAlgorithm.decide_batch`;
+* :class:`ScalarBatchAdapter`, which plays one scalar
+  :class:`~repro.algorithms.base.OnlineAlgorithm` per lane.  It is the
+  paper-faithful reference: every algorithm without a kernel, and every
+  kernel-capable run the kernel cannot take (ragged stacks, non-ℓ2
+  metrics, movement-only lanes, fusion switched off), goes through it.
+
+``coin-flip`` keeps its own batched loop (:class:`BatchedCoinFlip`):
+its per-lane RNG streams are consumed one draw per step with requests.
 
 :func:`as_vectorized` resolves a registry name (or scalar factory) to the
-best available batched implementation: a truly vectorized class when one
-is registered in :data:`VECTORIZED`, the adapter otherwise.
+batched form registered in :data:`VECTORIZED`, the adapter otherwise.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Sequence
 
 import numpy as np
 
 from ..core.engine import BatchStepRequests, VectorizedAlgorithm
-from ..core.metric import batched_move_towards, row_norms
 from ..core.instance import MSPInstance
-from ..median import request_center, weiszfeld
+from ..core.kernels import KERNELS, KernelContext, kernel_for
+from ..core.metric import batched_move_towards
+from ..median import request_center
 from .base import OnlineAlgorithm
 from .registry import ALGORITHMS
 
 __all__ = [
     "VECTORIZED",
     "BatchedCoinFlip",
-    "BatchedFollowLast",
-    "BatchedGreedyCenter",
-    "BatchedGreedyCentroid",
-    "BatchedLazyThreshold",
-    "BatchedMoveToCenter",
-    "BatchedMoveToMin",
-    "BatchedNearestChaser",
-    "BatchedStatic",
+    "KernelAlgorithm",
     "ScalarBatchAdapter",
     "as_vectorized",
     "make_vectorized",
@@ -109,420 +103,101 @@ class ScalarBatchAdapter(VectorizedAlgorithm):
         ]
 
 
-class BatchedStatic(VectorizedAlgorithm):
-    """Vectorized :class:`~repro.algorithms.lazy.StaticServer`: never moves."""
+class KernelAlgorithm(VectorizedAlgorithm):
+    """A registry algorithm whose batched form is its fused step kernel.
 
-    name = "static"
-    kernel = "static"
+    ``name`` is the registry name the kernel is bound to in
+    :data:`~repro.core.kernels.KERNELS`; ``factory`` builds the scalar
+    algorithm the kernel replays.  One scalar instance, :attr:`reference`,
+    supplies the variant parameters the kernel reads and the trace label.
 
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        return positions
-
-
-class BatchedGreedyCentroid(VectorizedAlgorithm):
-    """Vectorized :class:`~repro.algorithms.greedy.GreedyCentroid`.
-
-    The centroid is a plain mean, so with a packed ``(B, r, d)`` step the
-    whole decision is three NumPy calls — this is the engine's showcase
-    fully-vectorized algorithm (see ``benchmarks/bench_engine_batched.py``).
+    :func:`~repro.core.engine.simulate_batch` runs packed ℓ2 stacks
+    through :func:`~repro.core.kernels.run_fused` and every other run
+    through :meth:`scalar_reference`.  :meth:`decide_batch` steps the
+    kernel at block size ``K = 1`` — the serve layer's cross-lane waves,
+    where every lane has the same request count (possibly zero).  The
+    kernel's state arrays export and import by lane row, so a lane
+    stepped under changing wave compositions decides bit-identically.
+    Kernels with the ``"stack"`` layout pool earlier steps, which a
+    one-step wave does not carry, so they cannot be stepped this way.
     """
 
-    name = "greedy-centroid"
-    kernel = "greedy-centroid"
-
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        if step.points is not None:
-            targets = step.points.mean(axis=1)
-            return batched_move_towards(positions, targets, self.caps)
-        targets = positions.copy()
-        steps = np.zeros(len(step))
-        for i in np.nonzero(step.counts)[0]:
-            targets[i] = step.batch(int(i)).points.mean(axis=0)
-            steps[i] = self.caps[i]
-        return batched_move_towards(positions, targets, steps)
-
-
-class BatchedNearestChaser(VectorizedAlgorithm):
-    """Vectorized :class:`~repro.algorithms.greedy.NearestRequestChaser`."""
-
-    name = "nearest-chaser"
-    kernel = "nearest-chaser"
-
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        if step.points is not None:
-            diff = step.points - positions[:, None, :]
-            dists = np.sqrt(np.einsum("brd,brd->br", diff, diff))
-            nearest = step.points[np.arange(len(step)), np.argmin(dists, axis=1)]
-            return batched_move_towards(positions, nearest, self.caps)
-        # Ragged fallback: pad each lane's requests into one (n, rmax, d)
-        # block with +inf fill and take a single batched argmin.  The inf
-        # rows give +inf distances, which can never beat a real request,
-        # so each lane's winning index — and argmin's first-of-ties rule —
-        # matches the per-lane loop exactly; the distances themselves are
-        # the same sequential sum-over-d einsum followed by sqrt.
-        targets = positions.copy()
-        steps = np.zeros(len(step))
-        lanes = np.nonzero(step.counts)[0]
-        if lanes.size:
-            rmax = int(step.counts[lanes].max())
-            pad = np.full((lanes.size, rmax, positions.shape[1]), np.inf)
-            for row, i in enumerate(lanes):
-                pts = step.batch(int(i)).points
-                pad[row, : pts.shape[0]] = pts
-            diff = pad - positions[lanes, None, :]
-            dists = np.sqrt(np.einsum("lrd,lrd->lr", diff, diff))
-            best = np.argmin(dists, axis=1)
-            targets[lanes] = pad[np.arange(lanes.size), best]
-            steps[lanes] = self.caps[lanes]
-        return batched_move_towards(positions, targets, steps)
-
-
-class BatchedGreedyCenter(VectorizedAlgorithm):
-    """Vectorized :class:`~repro.algorithms.greedy.GreedyCenter`.
-
-    The tie-broken geometric median is computed per lane (it is an exact
-    solver, not an array expression); the full-speed clamped move is
-    batched.
-    """
-
-    name = "greedy-center"
-    kernel = "greedy-center"
-
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        targets = positions.copy()
-        steps = np.zeros(len(step))
-        for i in np.nonzero(step.counts)[0]:
-            targets[i] = request_center(step.batch(int(i)).points, positions[i])
-            steps[i] = self.caps[i]
-        return batched_move_towards(positions, targets, steps)
-
-
-class BatchedMoveToCenter(VectorizedAlgorithm):
-    """Vectorized :class:`~repro.algorithms.mtc.MoveToCenter` (the paper's MtC).
-
-    Mirrors the scalar constructor (``step_scale``, ``tie_break``,
-    ``cap_fraction`` ablation hooks) and the scalar decision rule: per-lane
-    tie-broken centers with warm-started Weiszfeld, then one batched
-    ``min{1, r/D}``-damped clamped move.
-    """
-
-    kernel = "mtc"
-
-    def __init__(
-        self,
-        step_scale: float | None = None,
-        tie_break: str = "closest",
-        cap_fraction: float = 1.0,
-    ) -> None:
+    def __init__(self, name: str, factory: Callable[[], OnlineAlgorithm]) -> None:
         super().__init__()
-        if step_scale is not None and not (0.0 < step_scale <= 1.0):
-            raise ValueError(f"step_scale must lie in (0, 1], got {step_scale}")
-        if not (0.0 < cap_fraction <= 1.0):
-            raise ValueError(f"cap_fraction must lie in (0, 1], got {cap_fraction}")
-        if tie_break not in ("closest", "weiszfeld", "midpoint"):
-            raise ValueError(f"unknown tie_break {tie_break!r}")
-        self.step_scale = step_scale
-        self.tie_break = tie_break
-        self.cap_fraction = cap_fraction
-        suffix = []
-        if step_scale is not None:
-            suffix.append(f"scale={step_scale:g}")
-        if tie_break != "closest":
-            suffix.append(f"tie={tie_break}")
-        if cap_fraction != 1.0:
-            suffix.append(f"cap×{cap_fraction:g}")
-        self.name = "mtc" + (f"[{','.join(suffix)}]" if suffix else "")
-        self._last_centers: list[np.ndarray | None] = []
+        kernel = kernel_for(name)
+        if kernel is None:
+            raise KeyError(f"no fused kernel is registered for {name!r}")
+        self.kernel = kernel
+        self._factory = factory
+        self.reference = factory()
+        self.name = self.reference.name
+        self._advance: Callable | None = None
+        self._state: Dict[str, np.ndarray] = {}
+
+    def scalar_reference(self) -> ScalarBatchAdapter:
+        """The scalar algorithms behind this kernel, one per lane."""
+        return ScalarBatchAdapter(self._factory, name=self.name)
 
     def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
         super().reset_batch(instances, caps)
-        self._last_centers = [None] * self.batch_size
-
-    def export_lane_states(self) -> list:
-        return list(self._last_centers)
-
-    def import_lane_states(self, states) -> None:
-        if len(states) != self.batch_size:
-            raise ValueError(f"expected {self.batch_size} lane states, got {len(states)}")
-        self._last_centers = list(states)
-
-    def _center(self, lane: int, points: np.ndarray, position: np.ndarray) -> np.ndarray:
-        if self.tie_break == "closest":
-            c = request_center(points, position, warm_start=self._last_centers[lane])
-            self._last_centers[lane] = c
-            return c
-        if self.tie_break == "weiszfeld":
-            return weiszfeld(points).point
-        from ..median.tie_breaking import median_set
-
-        mset = median_set(points)
-        if mset is None:
-            return weiszfeld(points).point
-        return 0.5 * (mset.a + mset.b)
-
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        B = len(step)
-        if len(self._last_centers) != B:
-            # Defensive re-size: if the engine (or a mega-batch split)
-            # replays this instance at a different lane count without an
-            # intervening reset_batch, stale warm starts must not leak
-            # into the wrong lanes — cold-start them all instead.
-            self._last_centers = [None] * B
-        targets = positions.copy()
-        for i in np.nonzero(step.counts)[0]:
-            targets[int(i)] = self._center(int(i), step.batch(int(i)).points, positions[int(i)])
-        dist = row_norms(targets - positions)
-        if self.step_scale is not None:
-            scale = np.full(B, self.step_scale)
-        else:
-            scale = np.minimum(1.0, step.counts / self.D)
-        desired = scale * dist
-        steps = np.minimum(desired, self.caps * self.cap_fraction)
-        return batched_move_towards(positions, targets, steps)
-
-
-def _pursuit_move(
-    positions: np.ndarray,
-    targets: Sequence[np.ndarray | None],
-    caps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Full-speed clamped move of each lane towards its pursuit target.
-
-    Lanes whose target is ``None`` stay put.  Returns the new positions,
-    the assembled target array, and the indices of pursuing lanes — the
-    single assembly shared by every pursuit-style algorithm so the scalar
-    semantics live in one place.
-    """
-    tgt = positions.copy()
-    steps = np.zeros(positions.shape[0])
-    active = []
-    for i, target in enumerate(targets):
-        if target is not None:
-            tgt[i] = target
-            steps[i] = caps[i]
-            active.append(i)
-    return batched_move_towards(positions, tgt, steps), tgt, active
-
-
-class _BatchedPursuit(VectorizedAlgorithm):
-    """Shared machinery for target-pursuit algorithms (lazy, MtM, coin-flip).
-
-    Subclasses update ``self._targets`` (per-lane pursuit target or
-    ``None``) in :meth:`_update_targets`; the base class performs the
-    batched full-speed clamped move and clears targets that were reached
-    this step (matching the scalar ``allclose(..., atol=1e-12)`` test).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._targets: list[np.ndarray | None] = []
-
-    def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
-        super().reset_batch(instances, caps)
-        self._targets = [None] * self.batch_size
-
-    def _update_targets(self, t: int, positions: np.ndarray, step: BatchStepRequests) -> None:
-        raise NotImplementedError
-
-    def export_lane_states(self) -> list:
-        return list(self._targets)
-
-    def import_lane_states(self, states) -> None:
-        # A ``None`` entry is both "no pursuit target" and "fresh lane" —
-        # the two coincide for this family, so no sentinel is needed.
-        if len(states) != self.batch_size:
-            raise ValueError(f"expected {self.batch_size} lane states, got {len(states)}")
-        self._targets = list(states)
-
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        self._update_targets(t, positions, step)
-        out, tgt, active = _pursuit_move(positions, self._targets, self.caps)
-        if active:
-            reached = np.all(np.abs(out - tgt) <= 1e-12, axis=1)
-            for i in active:
-                if reached[i]:
-                    self._targets[i] = None
-        return out
-
-
-class BatchedFollowLast(VectorizedAlgorithm):
-    """Vectorized :class:`~repro.algorithms.follow.FollowLastRequest`."""
-
-    kernel = "follow-last"
-
-    def __init__(self, smoothing: float = 1.0) -> None:
-        super().__init__()
-        if not (0.0 < smoothing <= 1.0):
-            raise ValueError("smoothing must lie in (0, 1]")
-        self.smoothing = smoothing
-        self.name = f"follow-last[{smoothing:g}]" if smoothing != 1.0 else "follow-last"
-        self._targets: list[np.ndarray | None] = []
-
-    def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
-        super().reset_batch(instances, caps)
-        self._targets = [None] * self.batch_size
-
-    def export_lane_states(self) -> list:
-        return list(self._targets)
-
-    def import_lane_states(self, states) -> None:
-        if len(states) != self.batch_size:
-            raise ValueError(f"expected {self.batch_size} lane states, got {len(states)}")
-        self._targets = list(states)
-
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        for i in np.nonzero(step.counts)[0]:
-            i = int(i)
-            c = request_center(step.batch(i).points, positions[i])
-            if self._targets[i] is None:
-                self._targets[i] = c
-            else:
-                self._targets[i] = (1.0 - self.smoothing) * self._targets[i] + self.smoothing * c
-        # Unlike the _BatchedPursuit family, the smoothed target persists
-        # after being reached, so no clearing step here.
-        out, _, _ = _pursuit_move(positions, self._targets, self.caps)
-        return out
-
-
-class BatchedLazyThreshold(_BatchedPursuit):
-    """Vectorized :class:`~repro.algorithms.lazy.LazyThreshold`."""
-
-    kernel = "lazy"
-
-    def __init__(self, threshold_factor: float = 1.0, window: int = 8) -> None:
-        super().__init__()
-        if threshold_factor <= 0:
-            raise ValueError("threshold_factor must be positive")
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.threshold_factor = threshold_factor
-        self.window = window
-        self.name = f"lazy[{threshold_factor:g}]"
-        self._accumulated: np.ndarray = np.zeros(0)
-        self._recent: list[list[np.ndarray]] = []
-        self._thresholds: np.ndarray = np.zeros(0)
-
-    def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
-        super().reset_batch(instances, caps)
-        self._accumulated = np.zeros(self.batch_size)
-        self._recent = [[] for _ in range(self.batch_size)]
-        self._thresholds = self.threshold_factor * self.D * np.array(
-            [inst.m for inst in self.instances]
+        ctx = KernelContext(
+            algorithm=self.reference, caps=self.caps, D=self.D,
+            m=np.array([inst.m for inst in self.instances], dtype=np.float64),
+            dim=self.instances[0].dim,
         )
+        self._advance = self.kernel.build(ctx)
+        self._state = ctx.state
+
+    def decide_batch(
+        self, t: int, positions: np.ndarray, step: BatchStepRequests
+    ) -> np.ndarray:
+        layout = self.kernel.layout
+        if layout == "stack":
+            raise TypeError(
+                f"{self.name!r} pools requests of earlier steps, so its kernel "
+                "cannot be stepped one step at a time; use scalar_reference()"
+            )
+        B, d = positions.shape
+        if step.points is not None:
+            points = step.points
+        elif not np.any(step.counts):
+            points = np.empty((B, 0, d))
+        else:
+            raise ValueError(
+                "a kernel steps uniform waves: every lane needs the same request count"
+            )
+        if layout == "time_major":
+            block = np.ascontiguousarray(points.transpose(1, 0, 2))[None]
+        else:
+            block = points[:, None]
+        out = np.empty((1, B, d))
+        self._advance(out, positions, block, t)
+        return out[0]
 
     def export_lane_states(self) -> list:
-        return [
-            (self._targets[i], float(self._accumulated[i]), list(self._recent[i]))
-            for i in range(self.batch_size)
-        ]
+        if not self._state:  # stateless kernel
+            return [None] * self.batch_size
+        return [{key: arr[i].copy() for key, arr in self._state.items()}
+                for i in range(self.batch_size)]
 
     def import_lane_states(self, states) -> None:
         if len(states) != self.batch_size:
             raise ValueError(f"expected {self.batch_size} lane states, got {len(states)}")
-        for i, carried in enumerate(states):
-            if carried is None:  # fresh lane: keep the reset state
-                continue
-            target, accumulated, recent = carried
-            self._targets[i] = target
-            self._accumulated[i] = accumulated
-            self._recent[i] = list(recent)
-
-    def _update_targets(self, t: int, positions: np.ndarray, step: BatchStepRequests) -> None:
-        for i in np.nonzero(step.counts)[0]:
-            i = int(i)
-            batch = step.batch(i)
-            recent = self._recent[i]
-            recent.append(batch.points)
-            if len(recent) > self.window:
-                recent.pop(0)
-            self._accumulated[i] += batch.service_cost(positions[i])
-        for i in range(self.batch_size):
-            if (
-                self._targets[i] is None
-                and self._accumulated[i] > self._thresholds[i]
-                and self._recent[i]
-            ):
-                pooled = np.concatenate(self._recent[i], axis=0)
-                self._targets[i] = request_center(pooled, positions[i])
-                self._accumulated[i] = 0.0
+        # ``None`` is a fresh lane, whose state is all zeros.
+        for key, arr in self._state.items():
+            for i, carried in enumerate(states):
+                arr[i] = 0 if carried is None else carried[key]
 
 
-class BatchedMoveToMin(_BatchedPursuit):
-    """Vectorized :class:`~repro.algorithms.move_to_min.MoveToMin`."""
-
-    kernel = "move-to-min"
-
-    def __init__(self, phase_requests: int | None = None) -> None:
-        super().__init__()
-        if phase_requests is not None and phase_requests < 1:
-            raise ValueError("phase_requests must be positive")
-        self.phase_requests = phase_requests
-        self.name = "move-to-min"
-        self._phase_points: list[list[np.ndarray]] = []
-        self._phase_counts: np.ndarray = np.zeros(0, dtype=np.int64)
-
-    def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
-        super().reset_batch(instances, caps)
-        self._phase_points = [[] for _ in range(self.batch_size)]
-        self._phase_counts = np.zeros(self.batch_size, dtype=np.int64)
-
-    def export_lane_states(self) -> list:
-        return [
-            (self._targets[i], list(self._phase_points[i]), int(self._phase_counts[i]))
-            for i in range(self.batch_size)
-        ]
-
-    def import_lane_states(self, states) -> None:
-        if len(states) != self.batch_size:
-            raise ValueError(f"expected {self.batch_size} lane states, got {len(states)}")
-        for i, carried in enumerate(states):
-            if carried is None:  # fresh lane: keep the reset state
-                continue
-            target, phase_points, phase_count = carried
-            self._targets[i] = target
-            self._phase_points[i] = list(phase_points)
-            self._phase_counts[i] = phase_count
-
-    def _phase_size(self, lane: int) -> int:
-        if self.phase_requests is not None:
-            return self.phase_requests
-        return max(1, int(np.ceil(self.D[lane])))
-
-    def _update_targets(self, t: int, positions: np.ndarray, step: BatchStepRequests) -> None:
-        for i in np.nonzero(step.counts)[0]:
-            i = int(i)
-            batch = step.batch(i)
-            self._phase_points[i].append(batch.points)
-            self._phase_counts[i] += batch.count
-        for i in range(self.batch_size):
-            if self._phase_counts[i] >= self._phase_size(i) and self._phase_points[i]:
-                pooled = np.concatenate(self._phase_points[i], axis=0)
-                self._targets[i] = request_center(pooled, positions[i])
-                self._phase_points[i] = []
-                self._phase_counts[i] = 0
-
-
-class BatchedCoinFlip(_BatchedPursuit):
-    """Vectorized :class:`~repro.algorithms.coinflip.CoinFlip`.
+class BatchedCoinFlip(VectorizedAlgorithm):
+    """Batched :class:`~repro.algorithms.coinflip.CoinFlip`.
 
     Each lane owns an independent RNG stream from ``rng_factory(lane)``
     (default: a fresh ``default_rng(lane)``), consumed exactly as the
     scalar algorithm consumes its generator — one draw per step with
     requests — so a lane seeded like a scalar run reproduces it exactly.
+    A lane chases its target at full speed and drops it once reached
+    (the scalar ``allclose(..., atol=1e-12)`` test).
     """
 
     def __init__(
@@ -538,11 +213,13 @@ class BatchedCoinFlip(_BatchedPursuit):
         )
         self.probability = probability
         self.name = "coin-flip"
+        self._targets: list[np.ndarray | None] = []
         self._rngs: list[np.random.Generator] = []
         self._p: np.ndarray = np.zeros(0)
 
     def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
         super().reset_batch(instances, caps)
+        self._targets = [None] * self.batch_size
         self._rngs = [self.rng_factory(i) for i in range(self.batch_size)]
         if self.probability is not None:
             self._p = np.full(self.batch_size, self.probability)
@@ -567,40 +244,48 @@ class BatchedCoinFlip(_BatchedPursuit):
             self._targets[i] = target
             self._rngs[i] = rng
 
-    def _update_targets(self, t: int, positions: np.ndarray, step: BatchStepRequests) -> None:
+    def decide_batch(
+        self, t: int, positions: np.ndarray, step: BatchStepRequests
+    ) -> np.ndarray:
         for i in np.nonzero(step.counts)[0]:
             i = int(i)
             if self._rngs[i].random() < self._p[i]:
                 self._targets[i] = request_center(step.batch(i).points, positions[i])
+        # Lanes without a target take a zero step towards themselves.
+        tgt = positions.copy()
+        steps = np.zeros(positions.shape[0])
+        active = [i for i, target in enumerate(self._targets) if target is not None]
+        for i in active:
+            tgt[i] = self._targets[i]
+            steps[i] = self.caps[i]
+        out = batched_move_towards(positions, tgt, steps)
+        if active:
+            reached = np.all(np.abs(out - tgt) <= 1e-12, axis=1)
+            for i in active:
+                if reached[i]:
+                    self._targets[i] = None
+        return out
 
 
-#: Registry names with a truly vectorized implementation; everything else
-#: resolves to :class:`ScalarBatchAdapter`.  The ``coin-flip`` entry seeds
-#: every lane like the scalar registry factory (``default_rng(0)``) so
-#: batched sweeps reproduce per-seed scalar runs.
+#: Registry names with a batched form: every kernel-bound name, plus
+#: ``coin-flip``'s own batched loop; everything else resolves to
+#: :class:`ScalarBatchAdapter`.  The ``coin-flip`` entry seeds every lane
+#: like the scalar registry factory (``default_rng(0)``) so batched
+#: sweeps reproduce per-seed scalar runs.
 VECTORIZED: Dict[str, Callable[[], VectorizedAlgorithm]] = {
-    "mtc": BatchedMoveToCenter,
-    "greedy-center": BatchedGreedyCenter,
-    "greedy-centroid": BatchedGreedyCentroid,
-    "nearest-chaser": BatchedNearestChaser,
-    "static": BatchedStatic,
-    "lazy": BatchedLazyThreshold,
-    "lazy-aggressive": lambda: BatchedLazyThreshold(threshold_factor=0.25),
-    "follow-last": BatchedFollowLast,
-    "follow-smooth": lambda: BatchedFollowLast(smoothing=0.25),
-    "move-to-min": BatchedMoveToMin,
+    **{name: partial(KernelAlgorithm, name, ALGORITHMS[name]) for name in KERNELS},
     "coin-flip": lambda: BatchedCoinFlip(rng_factory=lambda lane: np.random.default_rng(0)),
 }
 
 
 def make_vectorized(name: str, metric=None) -> VectorizedAlgorithm:
-    """Best batched implementation of a registry algorithm.
+    """The batched form of a registry algorithm.
 
-    Truly vectorized when ``name`` appears in :data:`VECTORIZED`, otherwise
-    the scalar algorithm wrapped in :class:`ScalarBatchAdapter`.  Under a
-    non-Euclidean ``metric`` the truly-vectorized classes are skipped —
-    their whole-batch arithmetic hardcodes ℓ2 — and every algorithm runs
-    through the adapter with the metric injected per lane.
+    The :data:`VECTORIZED` entry when ``name`` has one, otherwise the
+    scalar algorithm wrapped in :class:`ScalarBatchAdapter`.  Under a
+    non-Euclidean ``metric`` the entries are skipped — kernels and the
+    coin-flip loop hardcode ℓ2 — and every algorithm runs through the
+    adapter with the metric injected per lane.
     """
     non_euclidean = metric is not None and metric.name != "euclidean"
     if name in VECTORIZED and not non_euclidean:

@@ -3,9 +3,8 @@
 :func:`run` takes a :class:`~repro.api.scenario.Scenario`, materialises
 its instances from the workload/adversary registries, validates the
 algorithm's capability metadata against the source, dispatches to the
-batched lock-step engine (when the algorithm's registry entry advertises
-a vectorized implementation) or the scalar simulator (bit-identical
-fallback), certifies ratios as requested, and returns a
+batched lock-step engine (when the algorithm's registry entry has a
+batched form) or the scalar simulator (bit-identical fallback), certifies ratios as requested, and returns a
 :class:`RunResult`.
 
 :func:`run_many` runs a list of scenarios, sharing instance
@@ -368,8 +367,8 @@ def _choose_engine(scenario: Scenario, info: AlgorithmInfo, instances: Sequence[
     if scenario.engine != "auto":
         return scenario.engine
     if scenario.algorithm_params:
-        # Vectorized implementations are registered for the default
-        # parameterisation only; variants run through the scalar loop.
+        # Batched forms are registered for the default parameterisation
+        # only; variants run through the scalar loop.
         return "scalar"
     if not info.vectorized:
         return "scalar"

@@ -15,10 +15,11 @@ Key types
 :class:`VectorizedAlgorithm`
     The batched counterpart of :class:`~repro.algorithms.base.OnlineAlgorithm`:
     ``reset_batch(instances, caps)`` once, then
-    ``decide_batch(t, positions, step) -> (B, d)`` per step.  Truly
-    vectorized implementations live in :mod:`repro.algorithms.vectorized`;
-    a scalar-fallback adapter there makes every registry algorithm usable
-    under this engine unchanged.
+    ``decide_batch(t, positions, step) -> (B, d)`` per step.  The batched
+    forms live in :mod:`repro.algorithms.vectorized`: fused kernels
+    (:mod:`repro.core.kernels`) for the algorithms that have one, and a
+    scalar adapter that makes every registry algorithm usable under this
+    engine unchanged.
 
 :class:`BatchStepRequests`
     The requests of one time step across all lanes.  Exposes a packed
@@ -257,13 +258,6 @@ class VectorizedAlgorithm(abc.ABC):
     #: Identifier recorded in traces; mirrors the scalar algorithm's name.
     name: str = "vectorized-algorithm"
 
-    #: Name of a fused step kernel (:data:`repro.core.kernels.KERNELS`)
-    #: that replays this algorithm's decision rule, or ``None``.  Only
-    #: decisions that are pure functions of ``(positions, step.points,
-    #: caps)`` may advertise one; the engine then skips the per-step
-    #: ``decide_batch`` loop entirely when the request stack packs.
-    kernel: str | None = None
-
     def __init__(self) -> None:
         self.instances: list[MSPInstance] = []
         self.caps: np.ndarray = np.zeros(0)
@@ -346,12 +340,12 @@ def _resolve_algorithm(algorithm: AlgorithmSpec, metric: Metric | None = None) -
     if isinstance(algorithm, VectorizedAlgorithm):
         if metric is not None:
             # Only the scalar adapter (which exposes a ``metric`` slot) can
-            # honour a non-ℓ2 metric; truly-vectorized classes hardcode ℓ2.
+            # honour a non-ℓ2 metric; kernels and coin-flip hardcode ℓ2.
             if hasattr(algorithm, "metric"):
                 algorithm.metric = metric
             else:
                 raise ValueError(
-                    f"{algorithm.name!r} is a truly-vectorized (ℓ2-only) "
+                    f"{algorithm.name!r} is a batched ℓ2-only "
                     f"implementation and cannot run under metric {metric.name!r}; "
                     "pass the registry name or a scalar factory instead"
                 )
@@ -367,8 +361,8 @@ def _packed_stack(sequences: Sequence[RequestSequence]) -> np.ndarray | None:
     """The ``(B, T, r, d)`` request stack when every lane packs uniformly.
 
     ``None`` when any lane is ragged or the lanes disagree on the per-step
-    request count — the conditions under which both the engine's gather
-    fast path and the fused kernels fall back to per-step assembly.
+    request count — the conditions under which the engine's gather
+    falls back to per-step assembly and kernels to the scalar reference.
     """
     packed = [seq.packed for seq in sequences]
     if all(p is not None for p in packed) and len({p.shape[1] for p in packed}) == 1:
@@ -506,8 +500,8 @@ def simulate_batch(
         ``d``.  Per-lane ``D``, ``m`` and cost models may differ freely.
     algorithm:
         A :class:`VectorizedAlgorithm`, a registry name (resolved through
-        :func:`repro.algorithms.vectorized.as_vectorized`, which picks a
-        truly vectorized implementation when one exists and the scalar
+        :func:`repro.algorithms.vectorized.as_vectorized`, which picks the
+        algorithm's kernel or batched loop when one exists and the scalar
         adapter otherwise), or a zero-arg scalar-algorithm factory.
     delta:
         Resource-augmentation factor: a scalar applied to every lane, or
@@ -516,23 +510,26 @@ def simulate_batch(
     fuse:
         Force the fused-kernel fast path on/off; ``None`` (default)
         follows the global :func:`repro.core.kernels.fusion_enabled`
-        toggle.  The fused path engages only when the algorithm
-        advertises a kernel and the request stack packs; either path
-        produces bit-identical traces.
+        toggle.  The fused path engages only when the algorithm has a
+        kernel, the request stack packs and every lane charges service;
+        every other kernel-capable run — and every run with ``fuse``
+        off — plays the scalar reference rules through
+        :class:`~repro.algorithms.vectorized.ScalarBatchAdapter`.  Both
+        paths produce bit-identical traces.
     metric:
         The space the runs are measured in — a registry name or
         :class:`~repro.core.metric.Metric` instance.  ``None`` (and the
         Euclidean instance) keep the exact ℓ2 hot path; any other metric
-        disables kernel fusion (kernels declare ℓ2 only) and routes
-        registry algorithms through the scalar adapter with the metric
-        injected per lane.
+        routes registry algorithms through the scalar adapter with the
+        metric injected per lane (kernels are ℓ2 only).
 
     Returns
     -------
     BatchTrace
         Full trajectories and per-step cost breakdowns for every lane.
     """
-    from .kernels import fusion_enabled, kernel_for, run_fused
+    from ..algorithms.vectorized import KernelAlgorithm
+    from .kernels import fusion_enabled, run_fused
 
     if metric is not None:
         metric = get_metric(metric)
@@ -568,18 +565,18 @@ def simulate_batch(
     tol = caps + cap_tolerance(caps)  # cap_tolerance broadcasts elementwise
 
     algo = _resolve_algorithm(algorithm, metric=metric)
-    fusible = metric is None and counts_service.all()
-    if (fusion_enabled() if fuse is None else fuse) and T > 0 and fusible:
-        kernel = kernel_for(algo)
-        if kernel is not None:
-            big = _packed_stack([inst.requests for inst in instances])
-            if big is not None:
-                m = np.array([inst.m for inst in instances])
-                return run_fused(
-                    kernel, algo,
-                    np.stack([inst.start for inst in instances]),
-                    big, caps, D, m, serve_after_move, tol,
-                )
+    if isinstance(algo, KernelAlgorithm):
+        fused = (fusion_enabled() if fuse is None else fuse) and T > 0
+        big = (_packed_stack([inst.requests for inst in instances])
+               if fused and counts_service.all() else None)
+        if big is not None:
+            m = np.array([inst.m for inst in instances])
+            return run_fused(
+                algo.kernel, algo.reference,
+                np.stack([inst.start for inst in instances]),
+                big, caps, D, m, serve_after_move, tol,
+            )
+        algo = algo.scalar_reference()
     algo.reset_batch(instances, caps)
     state = BatchState.initial(np.stack([inst.start for inst in instances]))
     trace = BatchTrace.allocate(B, T, dim, algorithm=algo.name)

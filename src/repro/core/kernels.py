@@ -1,61 +1,70 @@
-"""Fused step kernels for the batched engine's hot path.
+"""Fused step kernels: the batched form of every kernel-capable algorithm.
 
-The per-step loop in :func:`repro.core.engine.simulate_batch` pays one
-Python round-trip per simulated step: a ``decide_batch`` method call, a
-:class:`~repro.core.engine.BatchStepRequests` view, cap validation,
-service-cost accounting and five trace-column writes.  A
-:class:`StepKernel` fuses all of that: it advances a whole block of ``K``
-steps per Python iteration over the packed request stack, and the runner
-(:func:`run_fused`) validates caps, accumulates movement/service costs
-and writes trace columns *per block* instead of per step.
+A registry algorithm exists in at most two forms: the scalar
+:class:`~repro.algorithms.base.OnlineAlgorithm` (the paper-faithful
+reference) and the :class:`StepKernel` registered here under its
+registry name.  :func:`repro.core.engine.simulate_batch` hands a packed
+ℓ2 request stack straight to :func:`run_fused`, which advances a whole
+block of ``K`` steps per Python iteration and validates caps, accumulates
+movement/service costs and writes trace columns *per block* instead of
+per step.  Every other run (ragged stacks, non-ℓ2 metrics, movement-only
+lanes, fusion switched off) plays the scalar rules through
+:class:`~repro.algorithms.vectorized.ScalarBatchAdapter`.  The serve
+layer steps the same kernels one step at a time (``K = 1``, see
+:class:`~repro.algorithms.vectorized.KernelAlgorithm`).
 
-Two kernel families
--------------------
+Kernel layouts
+--------------
 
 *Stateless* kernels (``greedy-centroid``, ``nearest-chaser``,
 ``static``) decide from ``(positions, step points, caps)`` alone.  They
-consume the request stack **time-major** — ``(T, r, B, d)`` — so block
-reductions run over long contiguous inner axes.
+consume the request stack **time-major** — ``(K, r, B, d)`` blocks — so
+block reductions run over long contiguous inner axes.
 
-*Median-family* kernels (``mtc`` and all its tie-break/step-scale/
-cap-fraction variants, ``greedy-center``, ``follow-last``, ``lazy``,
-``move-to-min``) target the tie-broken geometric median.  Their per-lane
-Python loops over :func:`repro.median.request_center` are replaced by
+*Median-family* kernels (``mtc``, ``greedy-center``, ``follow-last``
+and its smoothed variant) target the tie-broken geometric median through
 the cross-lane batched solver
-(:func:`repro.median.batched_request_center`), and their per-lane state
-(warm starts, pursuit targets, accumulators, phase buffers) moves into
-arrays owned by the kernel's per-run closure.  These kernels consume the
-stack **batch-major** — the packed ``(B, T, r, d)`` itself — because the
+(:func:`repro.median.batched_request_center`).  They consume
+**batch-major** ``(B, K, r, d)`` blocks of the packed stack, because the
 batched median solver's ``r``-reductions must run over a contiguous
-trailing axis to match the scalar solver's summation order.  Only
-``coin-flip`` (per-lane RNG streams) keeps the per-step loop.
+trailing axis to match the scalar solver's summation order.
+
+*Stack* kernels (``lazy`` and its aggressive variant, ``move-to-min``)
+pool requests of earlier steps into one median, so they receive the
+whole contiguous ``(B, T, r, d)`` stack and slice it themselves.  A
+one-step serve wave does not carry those earlier steps, so stack kernels
+only ever run through :func:`run_fused`.
 
 Every kernel is *built* per run: :attr:`StepKernel.build` receives a
-:class:`KernelContext` (the algorithm instance plus the per-lane
-``caps``/``D``/``m`` arrays) and returns a stateful ``advance`` closure.
-State therefore lives exactly one engine call — the registry entries in
-:data:`KERNELS` are immutable and shared, and nothing can leak between
-runs or between cells packed into one mega-batch.
+:class:`KernelContext` (the scalar algorithm instance plus the per-lane
+``caps``/``D``/``m`` arrays) and returns an ``advance`` closure.  The
+builder puts the kernel's carried state into ``ctx.state`` as named
+``(B, ...)`` arrays (warm starts, pursuit targets, accumulators) that
+``advance`` updates in place; row ``i`` is lane ``i``'s state, which is
+what lets serve waves export and import lanes between recompositions.
+The registry entries in :data:`KERNELS` are immutable and shared, and
+nothing can leak between runs or between cells packed into one
+mega-batch.
 
 Bit-parity contract
 -------------------
 
-A kernel performs the exact float64 arithmetic of the per-step loop.
-Facts asserted empirically in ``tests/test_kernels.py`` license the
-reformulations:
+A kernel performs, per lane and step, the exact float64 arithmetic of
+its scalar algorithm.  Facts asserted empirically in
+``tests/test_kernels.py`` license the reformulations:
 
 * a sum of two squares via slice adds (``sq[..., 0] + sq[..., 1]``) is
   bit-identical to NumPy's ``einsum`` sum-of-products **only** for
-  ``d <= 2`` — every norm here gates on that and falls back to the same
-  ``einsum`` the loop uses for ``d >= 3``;
+  ``d <= 2`` — every norm here gates on that and falls back to the
+  ``einsum`` the scalar path uses for ``d >= 3``;
 * reductions over a *middle* axis (the centroid ``mean`` over ``r``)
   add terms in the same order regardless of which axis of the operand
   they ran over, so the layout change does not move bits;
 * ``ndarray.sum`` over a *last* axis switches to pairwise blocking at
-  length 8, so time-major service sums match the loop's middle-axis
-  order only for ``r < 8`` — larger ``r`` pays a transpose, while the
-  batch-major service pass reduces over the trailing ``r`` exactly as
-  the loop does at any ``r``;
+  length 8, so time-major service sums match the scalar order only for
+  ``r < 8`` — larger ``r`` pays a transpose, while the batch-major
+  service pass reduces over the trailing ``r`` exactly as the scalar
+  path does at any ``r``;
 * scalar ``np.dot`` contractions are reproduced with vector-shaped
   ``matmul`` (same BLAS ``ddot``), never ``einsum`` — see
   :mod:`repro.median.batched`.
@@ -64,16 +73,17 @@ Movement distances are recomputed from the committed trajectory (never
 shortcut through the clamp's ``min``), the clamp mirrors
 :func:`~repro.core.metric.batched_move_towards` term for term, and
 ``tests/test_kernels.py`` asserts bit-identical traces against the
-per-step loop for every registered kernel under both cost models, mixed
-per-lane caps/``D`` and δ sweeps.
+scalar reference loop for every registered kernel under both cost
+models, mixed per-lane caps/``D`` and δ sweeps.
 
-Escape hatch
-------------
+Reference switch
+----------------
 
 :func:`set_fusion` / the :func:`fusion` context manager toggle every
-fused fast path at once — the engine's kernel dispatch *and* the
-cross-cell mega-batching in :mod:`repro.api.runtime` — which is what the
-CLI ``--no-fuse`` flag flips to produce a pure per-step reference run.
+fused fast path at once — the engine's kernel dispatch, the cross-cell
+mega-batching in :mod:`repro.api.runtime` and the serve layer's
+cross-lane waves — which is what the CLI ``--no-fuse`` flag flips to
+produce a scalar reference run.
 """
 
 from __future__ import annotations
@@ -139,19 +149,26 @@ class KernelContext:
     Attributes
     ----------
     algorithm:
-        The resolved :class:`~repro.core.engine.VectorizedAlgorithm`
-        instance — variant kernels (``mtc[...]``, ``lazy[...]``) read
-        their ablation parameters (``step_scale``, ``tie_break``,
-        ``smoothing``, ``threshold_factor``, ...) from it.
+        The scalar :class:`~repro.algorithms.base.OnlineAlgorithm` the
+        kernel replays — variant kernels read their ablation parameters
+        (``step_scale``, ``tie_break``, ``cap_fraction``, ``smoothing``,
+        ``threshold_factor``, ``window``, ``phase_requests``) from it.
     caps, D, m:
         Per-lane ``(B,)`` arrays: movement caps, the paper's ``D`` and
         the instances' ``m`` (the lazy threshold's scale factor).
+    dim:
+        The dimension ``d`` of the space.
+    state:
+        Filled by the builder: the kernel's carried per-lane state as
+        named ``(B, ...)`` arrays, all zero for a fresh lane.
     """
 
     algorithm: object
     caps: np.ndarray
     D: np.ndarray
     m: np.ndarray
+    dim: int
+    state: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -159,31 +176,26 @@ class StepKernel:
     """A fused decision rule: fill blocks of trajectory rows at once.
 
     ``build(ctx)`` returns a per-run ``advance(out, start, points, t0)``
-    closure (any cross-block state lives inside it) where
+    closure where
 
     * ``out`` — ``(K, B, d)`` trajectory rows to fill (``out[k]`` is the
       position *after* step ``t0 + k``),
     * ``start`` — ``(B, d)`` positions entering the block (read-only),
-    * ``points`` — the request stack in the kernel's declared
-      :attr:`layout`: the ``(K, r, B, d)`` time-major block, or the full
-      contiguous ``(B, T, r, d)`` packed stack (batch-major kernels
-      slice ``points[:, t0 + k]`` themselves),
+    * ``points`` — the requests in the kernel's declared :attr:`layout`:
+      the ``(K, r, B, d)`` time-major block, the ``(B, K, r, d)``
+      batch-major block, or the whole contiguous ``(B, T, r, d)`` stack
+      (``"stack"`` kernels slice ``points[:, t0 + k]`` themselves),
     * ``t0`` — absolute index of the block's first step,
 
     and must perform, per lane and step, arithmetic bit-identical to the
-    algorithm's ``decide_batch`` packed path.
-
-    ``metrics`` declares which metric spaces the kernel's arithmetic is
-    valid in.  Every kernel shipped here reduces with ℓ2 ``einsum`` norms,
-    so the default is ``("euclidean",)``; the engine only dispatches a
-    kernel when the run's metric appears in this tuple (any other metric
-    falls back to the per-step reference loop).
+    scalar algorithm.  Blocks with ``r = 0`` (steps without requests,
+    which only one-step serve waves produce) follow the scalar rule for
+    an empty batch.
     """
 
     name: str
     build: Callable[[KernelContext], Callable]
     layout: str = field(default="time_major")
-    metrics: tuple = field(default=("euclidean",))
 
 
 def _time_major_stack(big: np.ndarray) -> np.ndarray:
@@ -272,12 +284,13 @@ def _clamped_move(out: np.ndarray, src: np.ndarray, dst: np.ndarray,
 
 
 def _advance_greedy_centroid(out: np.ndarray, start: np.ndarray,
-                             points: np.ndarray, caps: np.ndarray) -> None:
+                             points: np.ndarray, caps: np.ndarray,
+                             scratch: _ClampScratch) -> None:
     # The centroid targets are position-independent, so the whole block's
     # targets reduce in one pass; only the tiny (B, d) clamp recurrence
-    # stays sequential.  For d >= 2 the loop's (B, r, d) mean is a
-    # middle-axis reduction whatever the layout, but at d == 1 NumPy
-    # collapses the trailing unit axis and the loop's mean blocks
+    # stays sequential.  For d >= 2 the scalar (r, d) mean is a
+    # non-trailing-axis reduction whatever the layout, but at d == 1
+    # NumPy collapses the trailing unit axis and the scalar mean blocks
     # pairwise over r — mirror that exactly once r reaches the pairwise
     # threshold.
     K, r, B, d = points.shape
@@ -289,7 +302,6 @@ def _advance_greedy_centroid(out: np.ndarray, start: np.ndarray,
         targets = flat.mean(axis=2)[..., None]  # (K, B, 1)
     else:
         targets = points.mean(axis=1)  # (K, B, d)
-    scratch = _ClampScratch(B, d)
     # Exact-landing fast-forward: when a step lands every lane exactly on
     # its target (the clamp's ``out[reached] = dst`` rule), the position
     # no longer depends on history — so any following streak of steps
@@ -327,9 +339,9 @@ def _advance_greedy_centroid(out: np.ndarray, start: np.ndarray,
 
 
 def _advance_nearest_chaser(out: np.ndarray, start: np.ndarray,
-                            points: np.ndarray, caps: np.ndarray) -> None:
+                            points: np.ndarray, caps: np.ndarray,
+                            scratch: _ClampScratch) -> None:
     K, r, B, d = points.shape
-    scratch = _ClampScratch(B, d)
     if r == 1:
         # A single request is trivially the nearest one.
         positions = start
@@ -349,7 +361,7 @@ def _advance_nearest_chaser(out: np.ndarray, start: np.ndarray,
             np.add(dbuf[..., 0], dbuf[..., 1], out=dists)
         else:
             np.einsum("rbd,rbd->rb", dbuf, dbuf, out=dists)
-        # sqrt *before* argmin, like decide_batch: rounding in the sqrt
+        # sqrt *before* argmin, like the scalar rule: rounding in the sqrt
         # can merge near-ties, and the tie-break must match exactly.
         np.sqrt(dists, out=dists)
         nearest = pts[np.argmin(dists, axis=0), lanes]
@@ -358,7 +370,8 @@ def _advance_nearest_chaser(out: np.ndarray, start: np.ndarray,
 
 
 def _advance_static(out: np.ndarray, start: np.ndarray,
-                    points: np.ndarray, caps: np.ndarray) -> None:
+                    points: np.ndarray, caps: np.ndarray,
+                    scratch: _ClampScratch) -> None:
     out[:] = start
 
 
@@ -367,9 +380,13 @@ def _stateless(fn: Callable) -> Callable[[KernelContext], Callable]:
 
     def build(ctx: KernelContext) -> Callable:
         caps = ctx.caps
+        scratch = _ClampScratch(caps.shape[0], ctx.dim)
 
         def advance(out, start, points, t0):
-            fn(out, start, points, caps)
+            if points.shape[1] == 0:
+                out[:] = start  # no requests: every stateless rule stays put
+                return
+            fn(out, start, points, caps, scratch)
 
         return advance
 
@@ -378,23 +395,23 @@ def _stateless(fn: Callable) -> Callable[[KernelContext], Callable]:
 
 # -- median-family batch-major kernels -------------------------------------
 #
-# These kernels replay the per-lane ``request_center`` loops of
-# ``decide_batch`` through the cross-lane batched solver.  They receive
-# the full packed (B, T, r, d) stack and slice one (B, r, d) step at a
-# time: per lane that slice is the same contiguous (r, d) block the
-# scalar solver sees, so every reduction matches bit-for-bit.
+# These kernels replay the scalar ``request_center`` rules through the
+# cross-lane batched solver.  They slice one (B, r, d) step at a time out
+# of the batch-major block (or the whole stack): per lane that slice is
+# the same contiguous (r, d) block the scalar solver sees, so every
+# reduction matches bit-for-bit.
 
 
 def _masked_pursuit(out_k: np.ndarray, positions: np.ndarray,
                     target: np.ndarray, has: np.ndarray, caps: np.ndarray,
                     tgt_buf: np.ndarray, steps_buf: np.ndarray,
                     s: _ClampScratch) -> np.ndarray:
-    """One ``_pursuit_move`` step: full-cap chase of per-lane targets.
+    """One full-cap chase of per-lane pursuit targets into ``out_k``.
 
-    Lanes without a target (``has`` False) stay put (zero step towards
-    their own position, exactly the reference assembly).  Returns the
-    reference ``reached`` mask (``|out - tgt| <= 1e-12`` in every
-    coordinate) for the caller's target-clearing rule.
+    Lanes without a target (``has`` False) stay put (a zero step towards
+    their own position, exactly the scalar ``return self.position``).
+    Returns the scalar ``reached`` mask (``|out - tgt| <= 1e-12`` in
+    every coordinate) for the caller's target-clearing rule.
     """
     np.copyto(tgt_buf, positions)
     np.copyto(tgt_buf, target, where=has[:, None])
@@ -405,20 +422,18 @@ def _masked_pursuit(out_k: np.ndarray, positions: np.ndarray,
 
 
 def _build_greedy_center(ctx: KernelContext) -> Callable:
+    from ..median.batched import batched_request_center
+
     caps = ctx.caps
-    B = caps.shape[0]
-    st: dict = {}
+    s = _ClampScratch(caps.shape[0], ctx.dim)
 
-    def advance(out, start, big, t0):
-        from ..median.batched import batched_request_center
-
-        K, _, d = out.shape
-        if not st:
-            st["scratch"] = _ClampScratch(B, d)
-        s = st["scratch"]
+    def advance(out, start, points, t0):
+        if points.shape[2] == 0:
+            out[:] = start  # no requests: stay put
+            return
         positions = start
-        for k in range(K):
-            c = batched_request_center(big[:, t0 + k], positions)
+        for k in range(out.shape[0]):
+            c = batched_request_center(points[:, k], positions)
             _clamped_move(out[k], positions, c, caps, s)
             positions = out[k]
 
@@ -426,44 +441,42 @@ def _build_greedy_center(ctx: KernelContext) -> Callable:
 
 
 def _build_mtc(ctx: KernelContext) -> Callable:
+    from ..median.batched import (
+        batched_median_set,
+        batched_request_center,
+        batched_weiszfeld,
+    )
+
     algo = ctx.algorithm
     caps, D = ctx.caps, ctx.D
     B = caps.shape[0]
     tie = algo.tie_break
     step_scale = algo.step_scale
     capped = caps * algo.cap_fraction
-    st: dict = {}
+    s = _ClampScratch(B, ctx.dim)
+    desired = np.empty(B)
+    steps = np.empty(B)
+    # The "closest" tie-break warm-starts each lane's solver at its
+    # previous center; lanes without one yet start cold.
+    warm = ctx.state["warm"] = np.zeros((B, ctx.dim))
+    warm_ok = ctx.state["warm_ok"] = np.zeros(B, dtype=bool)
 
-    def advance(out, start, big, t0):
-        from ..median.batched import (
-            batched_median_set,
-            batched_request_center,
-            batched_weiszfeld,
-        )
-
-        K, _, d = out.shape
-        r = big.shape[2]
-        if not st:
-            st["scratch"] = _ClampScratch(B, d)
-            st["desired"] = np.empty(B)
-            st["steps"] = np.empty(B)
-            st["warm"] = np.zeros((B, d))
-            st["warm_ok"] = np.zeros(B, dtype=bool)
-            counts = np.full(B, r, dtype=np.int64)
-            st["scale"] = (np.full(B, step_scale) if step_scale is not None
-                           else np.minimum(1.0, counts / D))
-        s = st["scratch"]
-        scale, desired, steps = st["scale"], st["desired"], st["steps"]
+    def advance(out, start, points, t0):
+        r = points.shape[2]
+        if r == 0:
+            out[:] = start  # no requests: stay put, warm starts untouched
+            return
+        # The damping min{1, r/D} reads this block's own request count.
+        scale = (np.full(B, step_scale) if step_scale is not None
+                 else np.minimum(1.0, r / D))
         positions = start
-        for k in range(K):
-            pts = big[:, t0 + k]
+        for k in range(out.shape[0]):
+            pts = points[:, k]
             if tie == "closest":
                 c = batched_request_center(pts, positions,
-                                           warm_starts=st["warm"],
-                                           warm_mask=st["warm_ok"])
-                st["warm"] = c
-                st["warm_ok"] = np.ones(B, dtype=bool) if not st["warm_ok"].all() \
-                    else st["warm_ok"]
+                                           warm_starts=warm, warm_mask=warm_ok)
+                warm[:] = c
+                warm_ok.fill(True)
             elif tie == "weiszfeld":
                 c = batched_weiszfeld(pts)
             else:  # midpoint
@@ -472,8 +485,8 @@ def _build_mtc(ctx: KernelContext) -> Callable:
                 nidx = np.nonzero(mset.numeric)[0]
                 if nidx.size:
                     c[nidx] = batched_weiszfeld(pts[nidx])
-            # dist = row_norms(targets - positions), then the damped
-            # min{scale·dist, cap_fraction·cap} clamp of decide_batch.
+            # dist = ‖c − position‖, then the damped
+            # min{scale·dist, cap_fraction·cap} clamp of the scalar rule.
             _sub(c, positions, out=s.v)
             np.einsum("ij,ij->i", s.v, s.v, out=s.n)
             _sqrt(s.n, out=s.n)
@@ -491,66 +504,62 @@ def _build_mtc(ctx: KernelContext) -> Callable:
 
 
 def _build_follow_last(ctx: KernelContext) -> Callable:
-    algo, caps = ctx.algorithm, ctx.caps
-    smoothing = algo.smoothing
-    B = caps.shape[0]
-    st: dict = {}
+    from ..median.batched import batched_request_center
 
-    def advance(out, start, big, t0):
-        from ..median.batched import batched_request_center
+    caps = ctx.caps
+    smoothing = ctx.algorithm.smoothing
+    B, d = caps.shape[0], ctx.dim
+    s = _ClampScratch(B, d)
+    tgt_buf = np.empty((B, d))
+    steps_buf = np.empty(B)
+    target = ctx.state["target"] = np.zeros((B, d))
+    has = ctx.state["has"] = np.zeros(B, dtype=bool)
 
-        K, _, d = out.shape
-        if not st:
-            st["scratch"] = _ClampScratch(B, d)
-            st["target"] = None
-        s = st["scratch"]
+    def advance(out, start, points, t0):
+        r = points.shape[2]
         positions = start
-        for k in range(K):
-            c = batched_request_center(big[:, t0 + k], positions)
-            if st["target"] is None:
-                # First step with requests: adopt the center outright
-                # (the scalar rule smooths only from the second on).
-                st["target"] = c
-            else:
-                st["target"] = (1.0 - smoothing) * st["target"] + smoothing * c
-            # The smoothed target persists after being reached — a plain
-            # full-cap clamp, no clearing.
-            _clamped_move(out[k], positions, st["target"], caps, s)
+        for k in range(out.shape[0]):
+            if r:
+                c = batched_request_center(points[:, k], positions)
+                # A lane's first center is adopted outright; the scalar
+                # rule smooths only from its second step with requests on.
+                smoothed = (1.0 - smoothing) * target + smoothing * c
+                np.copyto(target, np.where(has[:, None], smoothed, c))
+                has.fill(True)
+            # The smoothed target persists after being reached, and an
+            # empty step keeps chasing it — no clearing rule.
+            _masked_pursuit(out[k], positions, target, has, caps,
+                            tgt_buf, steps_buf, s)
             positions = out[k]
 
     return advance
 
 
 def _build_lazy(ctx: KernelContext) -> Callable:
+    from ..median.batched import batched_request_center
+
     algo, caps = ctx.algorithm, ctx.caps
     thresholds = algo.threshold_factor * ctx.D * ctx.m
     window = algo.window
-    B = caps.shape[0]
-    st: dict = {}
+    B, d = caps.shape[0], ctx.dim
+    s = _ClampScratch(B, d)
+    tgt_buf = np.empty((B, d))
+    steps_buf = np.empty(B)
+    acc = ctx.state["accumulated"] = np.zeros(B)
+    target = ctx.state["target"] = np.zeros((B, d))
+    has = ctx.state["has"] = np.zeros(B, dtype=bool)
 
     def advance(out, start, big, t0):
-        from ..median.batched import batched_request_center
-
-        K, _, d = out.shape
         r = big.shape[2]
-        if not st:
-            st["scratch"] = _ClampScratch(B, d)
-            st["acc"] = np.zeros(B)
-            st["target"] = np.zeros((B, d))
-            st["has"] = np.zeros(B, dtype=bool)
-            st["tgt_buf"] = np.empty((B, d))
-            st["steps_buf"] = np.empty(B)
-        s = st["scratch"]
-        acc, target, has = st["acc"], st["target"], st["has"]
-        tgt_buf, steps_buf = st["tgt_buf"], st["steps_buf"]
         positions = start
-        for k in range(K):
+        for k in range(out.shape[0]):
             t = t0 + k
             pts = big[:, t]
             # Accumulate each lane's service cost at the pre-move
             # position (RequestBatch.service_cost, vectorized).
             diff = pts - positions[:, None, :]
-            acc += np.sqrt(np.einsum("brd,brd->br", diff, diff)).sum(axis=1)
+            np.add(acc, np.sqrt(np.einsum("brd,brd->br", diff, diff)).sum(axis=1),
+                   out=acc)
             trig = ~has & (acc > thresholds)
             if np.any(trig):
                 idx = np.nonzero(trig)[0]
@@ -561,42 +570,35 @@ def _build_lazy(ctx: KernelContext) -> Callable:
                 has[idx] = True
             reached = _masked_pursuit(out[k], positions, target, has, caps,
                                       tgt_buf, steps_buf, s)
-            has &= ~reached
+            np.logical_and(has, ~reached, out=has)
             positions = out[k]
 
     return advance
 
 
 def _build_move_to_min(ctx: KernelContext) -> Callable:
+    from ..median.batched import batched_request_center
+
     algo, caps = ctx.algorithm, ctx.caps
-    B = caps.shape[0]
+    B, d = caps.shape[0], ctx.dim
     if algo.phase_requests is not None:
         size = np.full(B, int(algo.phase_requests), dtype=np.int64)
     else:
         size = np.maximum(1, np.ceil(ctx.D).astype(np.int64))
-    st: dict = {}
+    s = _ClampScratch(B, d)
+    tgt_buf = np.empty((B, d))
+    steps_buf = np.empty(B)
+    counts = ctx.state["phase_count"] = np.zeros(B, dtype=np.int64)
+    phase_start = ctx.state["phase_start"] = np.zeros(B, dtype=np.int64)
+    target = ctx.state["target"] = np.zeros((B, d))
+    has = ctx.state["has"] = np.zeros(B, dtype=bool)
 
     def advance(out, start, big, t0):
-        from ..median.batched import batched_request_center
-
-        K, _, d = out.shape
         r = big.shape[2]
-        if not st:
-            st["scratch"] = _ClampScratch(B, d)
-            st["counts"] = np.zeros(B, dtype=np.int64)
-            st["phase_start"] = np.zeros(B, dtype=np.int64)
-            st["target"] = np.zeros((B, d))
-            st["has"] = np.zeros(B, dtype=bool)
-            st["tgt_buf"] = np.empty((B, d))
-            st["steps_buf"] = np.empty(B)
-        s = st["scratch"]
-        counts, phase_start = st["counts"], st["phase_start"]
-        target, has = st["target"], st["has"]
-        tgt_buf, steps_buf = st["tgt_buf"], st["steps_buf"]
         positions = start
-        for k in range(K):
+        for k in range(out.shape[0]):
             t = t0 + k
-            counts += r
+            np.add(counts, r, out=counts)
             trig = counts >= size
             if np.any(trig):
                 # Lanes can be on different phase cadences (per-lane D):
@@ -613,18 +615,22 @@ def _build_move_to_min(ctx: KernelContext) -> Callable:
                 has[trig] = True
             reached = _masked_pursuit(out[k], positions, target, has, caps,
                                       tgt_buf, steps_buf, s)
-            has &= ~reached
+            np.logical_and(has, ~reached, out=has)
             positions = out[k]
 
     return advance
 
 
-#: Registered kernels, keyed by algorithm registry name.  An algorithm
-#: advertises its kernel via the ``kernel`` class attribute of its
-#: vectorized implementation; :func:`kernel_for` resolves it here.
-#: Variants (``mtc[...]``, ``lazy-aggressive``, ``follow-smooth``)
-#: advertise their family's kernel — the builder reads the ablation
-#: parameters off the instance.
+_FOLLOW_LAST = StepKernel("follow-last", _build_follow_last, layout="batch_major")
+_LAZY = StepKernel("lazy", _build_lazy, layout="stack")
+
+#: Registered kernels, keyed by algorithm registry name — the one place
+#: an algorithm is bound to its batched form.  Registry variants
+#: (``lazy-aggressive``, ``follow-smooth``) share their family's kernel;
+#: the builder reads the variant parameters off the scalar instance.
+#: Binding by name, never by class, keeps subclasses of a kerneled
+#: algorithm (``mtc-answer-first``, the multi-agent MtC) on the scalar
+#: reference path.
 KERNELS: Dict[str, StepKernel] = {
     "greedy-centroid": StepKernel("greedy-centroid",
                                   _stateless(_advance_greedy_centroid)),
@@ -634,29 +640,17 @@ KERNELS: Dict[str, StepKernel] = {
     "mtc": StepKernel("mtc", _build_mtc, layout="batch_major"),
     "greedy-center": StepKernel("greedy-center", _build_greedy_center,
                                 layout="batch_major"),
-    "follow-last": StepKernel("follow-last", _build_follow_last,
-                              layout="batch_major"),
-    "lazy": StepKernel("lazy", _build_lazy, layout="batch_major"),
-    "move-to-min": StepKernel("move-to-min", _build_move_to_min,
-                              layout="batch_major"),
+    "follow-last": _FOLLOW_LAST,
+    "follow-smooth": _FOLLOW_LAST,
+    "lazy": _LAZY,
+    "lazy-aggressive": _LAZY,
+    "move-to-min": StepKernel("move-to-min", _build_move_to_min, layout="stack"),
 }
 
 
-def kernel_for(algorithm, metric: str | None = None) -> StepKernel | None:
-    """The registered kernel an algorithm instance advertises, if any.
-
-    ``metric`` is the run's metric name (``None`` means ``"euclidean"``);
-    a kernel is only returned when that metric appears in its declared
-    :attr:`StepKernel.metrics` — every other space takes the per-step
-    reference loop.
-    """
-    name = getattr(algorithm, "kernel", None)
-    if name is None:
-        return None
-    kernel = KERNELS.get(name)
-    if kernel is not None and (metric or "euclidean") not in kernel.metrics:
-        return None
-    return kernel
+def kernel_for(name: str) -> StepKernel | None:
+    """The kernel bound to registry name ``name``, or ``None``."""
+    return KERNELS.get(name)
 
 
 def run_fused(
@@ -674,24 +668,26 @@ def run_fused(
     """Play a packed request stack through a kernel, ``block`` steps at a time.
 
     Parameters mirror the engine loop's precomputed per-lane arrays:
-    ``algo`` is the resolved algorithm instance (the kernel builder reads
-    variant parameters from it), ``starts`` is ``(B, d)``, ``big`` the
-    packed ``(B, T, r, d)`` request stack, ``caps``/``D``/``m``/``tol``
-    are ``(B,)`` and ``serve_after_move`` is ``(B,)`` bool (one flag per
-    lane's cost model).
+    ``algo`` is the scalar algorithm instance (the kernel builder reads
+    variant parameters from it; its ``name`` labels the trace),
+    ``starts`` is ``(B, d)``, ``big`` the packed ``(B, T, r, d)`` request
+    stack, ``caps``/``D``/``m``/``tol`` are ``(B,)`` and
+    ``serve_after_move`` is ``(B,)`` bool (one flag per lane's cost
+    model).
 
     Returns a :class:`~repro.core.engine.BatchTrace` bit-identical to the
-    per-step loop's: movement distances are recomputed from the committed
-    trajectory (not read back from the clamp), validation checks each
-    block before the next one runs, and service costs reduce a step's
-    requests in exactly the loop's order (see module docstring).
+    scalar reference loop's: movement distances are recomputed from the
+    committed trajectory (not read back from the clamp), validation
+    checks each block before the next one runs, and service costs reduce
+    a step's requests in exactly the scalar order (see module docstring).
     """
     from .engine import BatchTrace  # deferred: engine imports this module
 
     B, T, r, dim = big.shape
     algorithm_name = algo.name
-    advance = kernel.build(KernelContext(algorithm=algo, caps=caps, D=D, m=m))
-    batch_major = kernel.layout == "batch_major"
+    advance = kernel.build(KernelContext(algorithm=algo, caps=caps, D=D, m=m, dim=dim))
+    layout = kernel.layout
+    batch_major = layout != "time_major"
     if batch_major:
         stack = np.ascontiguousarray(big)  # kernels slice (B, r, d) steps
         points = None
@@ -740,7 +736,10 @@ def run_fused(
         t1 = min(t0 + block, T)
         K = t1 - t0
         out = traj[t0 + 1:t1 + 1]
-        advance(out, traj[t0], stack if batch_major else points[t0:t1], t0)
+        if layout == "time_major":
+            advance(out, traj[t0], points[t0:t1], t0)
+        else:
+            advance(out, traj[t0], stack if layout == "stack" else stack[:, t0:t1], t0)
 
         sg, mv, ov = seg[:K], moved_tm[t0:t1], over[:K]
         np.subtract(out, traj[t0:t1], out=sg)

@@ -13,7 +13,7 @@ IO001     file writes in the store/executor layers route through
           tmp+rename, never bare ``open(.., "w")``
 DET001    digest inputs are order-stable: ``sort_keys`` JSON, no set
           iteration feeding ``hashlib``
-REG001    kernel-tagged algorithms ↔ ``KERNELS`` registrations ↔ parity
+REG001    ``KERNELS`` registry names ↔ ``ALGORITHMS`` entries ↔ parity
           tests stay complete across files
 API001    ``__all__`` matches real bindings; deprecation shims raise
           ``DeprecationWarning``

@@ -1,28 +1,26 @@
 """REG001 — kernel/registry/parity-test completeness across files.
 
 The fused-kernel fast path is only trustworthy because three artifacts
-stay in lock-step: the vectorized implementations in
-``algorithms/vectorized.py`` (whose classes advertise a kernel via a
-``kernel = "name"`` class attribute), the :data:`repro.core.kernels.KERNELS`
-registry that the engine dispatches on, and the bit-parity suite in
-``tests/test_kernels.py`` that proves fused == per-step loop.  A new
-algorithm that lands in one place but not the others either silently
-loses the fast path or — worse — gains an unproven one.
+stay in lock-step: the :data:`repro.core.kernels.KERNELS` registry, which
+binds each kernel to an algorithm *registry name* (the single source of
+the engine's dispatch and of ``VECTORIZED``'s kernel entries), the
+``ALGORITHMS`` registry those names must exist in, and the bit-parity
+suite in ``tests/test_kernels.py`` that proves fused == scalar
+reference.  A new algorithm that lands in one place but not the others
+either silently loses the fast path or — worse — gains an unproven one.
 
 This project-wide rule checks, purely from the ASTs:
 
-* every ``VECTORIZED`` registry key is also an ``ALGORITHMS`` key (no
-  orphan vectorized entries unreachable by name);
-* every ``kernel = "..."`` advertised by a class reachable from
-  ``VECTORIZED`` names a registered ``KERNELS`` key;
-* every ``KERNELS`` key is advertised by at least one vectorized class
-  (no dead kernels the engine can never select);
+* every ``KERNELS`` key is an ``ALGORITHMS`` key (no dead kernels the
+  engine can never select by name);
+* every literal ``VECTORIZED`` key is also an ``ALGORITHMS`` key (no
+  orphan batched entries unreachable by name);
 * the parity test module references every kernel — either by importing
   ``KERNELS`` itself (parametrizing over the registry covers all
   entries, present and future) or by naming each kernel as a string
   literal.
 
-The rule reads its three source modules by fixed repo-relative path and
+The rule reads its source modules by fixed repo-relative path and
 silently skips when they are absent (linting a tree that is not this
 project, or fixtures).
 """
@@ -30,7 +28,7 @@ project, or fixtures).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from ..findings import Finding
 from ..index import ModuleIndex, ParsedModule
@@ -69,41 +67,6 @@ def _string_keys(dict_node: ast.Dict) -> Dict[str, int]:
     return keys
 
 
-def _entry_class(value: ast.expr) -> Optional[str]:
-    """The class name a registry value resolves to.
-
-    Handles the two idioms the registries use: a bare class reference
-    (``"mtc": BatchedMoveToCenter``) and a zero-argument lambda
-    constructing one (``"lazy-aggressive": lambda: BatchedLazy(...)``).
-    """
-    if isinstance(value, ast.Name):
-        return value.id
-    if isinstance(value, ast.Lambda):
-        body = value.body
-        if isinstance(body, ast.Call) and isinstance(body.func, ast.Name):
-            return body.func.id
-    return None
-
-
-def _class_kernels(module: ParsedModule) -> Dict[str, Tuple[str, int]]:
-    """``{class name: (advertised kernel, line)}`` from ``kernel = "..."``."""
-    out: Dict[str, Tuple[str, int]] = {}
-    for node in module.tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == "kernel"
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                out[node.name] = (stmt.value.value, stmt.lineno)
-    return out
-
-
 def _imports_kernels_registry(module: ParsedModule) -> bool:
     """Whether the test module binds the KERNELS registry itself.
 
@@ -129,61 +92,40 @@ def _string_literals(module: ParsedModule) -> set:
 
 @rule(
     "REG001",
-    "every kernel-tagged algorithm has a StepKernel registration and a parity test",
+    "every StepKernel is bound to a registry name and has a parity test",
     project=True,
 )
 def check_reg001(index: ModuleIndex) -> Iterator[Finding]:
-    vec = index.module(VECTORIZED_PATH)
     ker = index.module(KERNELS_PATH)
-    if vec is None or ker is None:
+    reg = index.module(ALGORITHMS_PATH)
+    if ker is None or reg is None:
         return
-    vectorized = _dict_assignment(vec, "VECTORIZED")
     kernels = _dict_assignment(ker, "KERNELS")
-    if vectorized is None or kernels is None:
+    algorithms = _dict_assignment(reg, "ALGORITHMS")
+    if kernels is None or algorithms is None:
         return
     kernel_keys = _string_keys(kernels)
-    vec_keys = _string_keys(vectorized)
-    class_kernels = _class_kernels(vec)
+    algo_keys = _string_keys(algorithms)
 
-    reg = index.module(ALGORITHMS_PATH)
-    if reg is not None:
-        algorithms = _dict_assignment(reg, "ALGORITHMS")
-        if algorithms is not None:
-            algo_keys = _string_keys(algorithms)
-            for name, line in sorted(vec_keys.items()):
-                if name not in algo_keys:
-                    yield Finding(
-                        path=vec.relpath, line=line, col=0, rule="REG001",
-                        message=f"vectorized entry {name!r} has no ALGORITHMS "
-                                "registry entry — unreachable by registry name",
-                    )
-
-    # Classes reachable from VECTORIZED entries, with their advertised kernel.
-    advertised: Dict[str, Tuple[str, int]] = {}
-    for key_node, value in zip(vectorized.keys, vectorized.values):
-        if not (isinstance(key_node, ast.Constant) and isinstance(key_node.value, str)):
-            continue
-        cls = _entry_class(value)
-        if cls is not None and cls in class_kernels:
-            advertised[key_node.value] = class_kernels[cls]
-
-    for name, (kernel_name, line) in sorted(advertised.items()):
-        if kernel_name not in kernel_keys:
-            yield Finding(
-                path=vec.relpath, line=line, col=0, rule="REG001",
-                message=f"vectorized {name!r} advertises kernel {kernel_name!r} "
-                        "but KERNELS has no such StepKernel registration",
-            )
-
-    advertised_kernels = {kernel for kernel, _ in advertised.values()}
-    for kernel_name, line in sorted(kernel_keys.items()):
-        if kernel_name not in advertised_kernels:
+    for name, line in sorted(kernel_keys.items()):
+        if name not in algo_keys:
             yield Finding(
                 path=ker.relpath, line=line, col=0, rule="REG001",
-                message=f"StepKernel {kernel_name!r} is registered but no "
-                        "VECTORIZED class advertises it — dead kernel the "
-                        "engine can never select",
+                message=f"StepKernel {name!r} is bound to a name with no "
+                        "ALGORITHMS registry entry — dead kernel the engine "
+                        "can never select",
             )
+
+    vec = index.module(VECTORIZED_PATH)
+    vectorized = _dict_assignment(vec, "VECTORIZED") if vec is not None else None
+    if vectorized is not None:
+        for name, line in sorted(_string_keys(vectorized).items()):
+            if name not in algo_keys:
+                yield Finding(
+                    path=vec.relpath, line=line, col=0, rule="REG001",
+                    message=f"vectorized entry {name!r} has no ALGORITHMS "
+                            "registry entry — unreachable by registry name",
+                )
 
     parity = index.module(PARITY_TEST_PATH)
     if parity is None:

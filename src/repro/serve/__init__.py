@@ -15,9 +15,10 @@ Layers
 :class:`SessionPool` (``pool.py``)
     The tick loop.  Live sessions sharing ``(algorithm, params, dim,
     cost_model)`` are packed into one wide cross-lane
-    :func:`~repro.core.engine.advance_lanes` call per tick — the same
-    per-step arithmetic as :func:`~repro.core.engine.simulate_batch`, so
-    a streamed lane is bit-identical to a batch run of the composed
+    :func:`~repro.core.engine.advance_lanes` call per tick, which steps
+    the algorithm's fused kernel one step at a time — the same per-lane
+    arithmetic as :func:`~repro.core.engine.simulate_batch`, so a
+    streamed lane is bit-identical to a batch run of the composed
     instance (the licensing the mega-batcher already proved per lane).
 
 ``checkpoint.py``

@@ -47,8 +47,8 @@ def batch_reference(
     """The batch-engine trace for a session's spec and request history.
 
     Resolves the algorithm exactly as :func:`repro.api.run` does — the
-    registry name when the spec carries no parameters (so truly
-    vectorized implementations and their fused kernels engage), a scalar
+    registry name when the spec carries no parameters (so fused kernels
+    and coin-flip's batched loop engage), a scalar
     factory otherwise.
     """
     from ..algorithms.registry import make_algorithm

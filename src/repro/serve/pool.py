@@ -4,7 +4,9 @@ The pool is the serve layer's engine room: every tick it groups sessions
 that have a pending step and share ``(algorithm, params, dim, cost_model)``,
 packs each group into one wide :func:`~repro.core.engine.advance_lanes`
 call — the exact per-step body of ``simulate_batch`` — and commits each
-lane's row back to its session.
+lane's row back to its session.  A wave of a kernel-capable algorithm
+steps its fused kernel at block size ``K = 1``
+(:class:`~repro.algorithms.vectorized.KernelAlgorithm`).
 
 Bit-parity licensing
 --------------------
@@ -15,22 +17,21 @@ instance bit-for-bit.  Three properties make cross-lane packing safe:
 * the engine's arithmetic is row-wise (``einsum`` norms, per-row clamp,
   per-row service sums), so a lane's floats never depend on its batch
   neighbours — the same licensing the mega-batcher relies on;
-* every truly vectorized algorithm's decision is independent of the step
-  index ``t`` and of the batch composition given carried per-lane state,
-  which sessions import/export around each wave
+* every poolable algorithm's decision is independent of the step index
+  ``t`` and of the batch composition given carried per-lane state, which
+  sessions import/export around each wave
   (:meth:`~repro.core.engine.VectorizedAlgorithm.export_lane_states`);
-* waves are sub-grouped by per-step request count ``r``, so a lane always
-  sees the same packed ``(B, r, d)`` (or all-empty) request view it would
-  see in its own batch run — packed and ragged assembly paths are never
-  mixed for the same data.
+* waves are sub-grouped by per-step request count ``r``, so every lane
+  of a wave sees a uniformly packed ``(B, r, d)`` (or all-empty) step —
+  the only shape a kernel steps.
 
-Scalar-adapter lanes (algorithms without a vectorized path, or with
-constructor parameters) do consume ``t``, so they are never packed into
-multi-lane waves: the pool advances them one lane at a time with their
-true step index.  With fusion disabled (``--no-fuse`` /
-:func:`~repro.core.kernels.fusion_enabled`), *all* lanes take that
-single-lane path — bit-identical by row independence, just slower, which
-is what the serve benchmark measures.
+Scalar-adapter lanes (algorithms without a batched form, kernels that
+pool earlier steps, or constructor parameters) do consume ``t``, so
+they are never packed into multi-lane waves: the pool advances them one
+lane at a time with their true step index.  With fusion disabled
+(``--no-fuse`` / :func:`~repro.core.kernels.fusion_enabled`), *all*
+lanes take that single-lane path through the scalar reference rules —
+bit-identical, just slower.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from typing import Sequence
 import numpy as np
 
 from ..algorithms.registry import make_algorithm
-from ..algorithms.vectorized import VECTORIZED, ScalarBatchAdapter, make_vectorized
+from ..algorithms.vectorized import VECTORIZED, ScalarBatchAdapter
 from ..core.engine import BatchStepRequests, VectorizedAlgorithm, advance_lanes
-from ..core.kernels import fusion_enabled
+from ..core.kernels import fusion_enabled, kernel_for
 from ..core.metric import Metric, get_metric
 from ..core.requests import RequestBatch
 from ..core.validation import cap_tolerance
@@ -60,15 +61,18 @@ _RUNTIME_CACHE_LIMIT = 64
 def poolable(spec: SessionSpec) -> bool:
     """Whether lanes of this spec may share a multi-lane wave.
 
-    True for parameter-free algorithms with a truly vectorized
-    implementation under the default metric — those decide independently
-    of ``t`` and of batch composition (given carried lane state).
-    Everything else (including every non-euclidean lane: the truly
-    vectorized implementations hardcode ℓ2) runs through the scalar
-    adapter one lane at a time.
+    True for parameter-free algorithms with a batched form under the
+    default metric — those decide independently of ``t`` and of batch
+    composition (given carried lane state).  Kernels with the
+    ``"stack"`` layout (``lazy``, ``move-to-min``) pool requests of
+    earlier steps, which a one-step wave does not carry.  Everything
+    else (including every non-euclidean lane: kernels hardcode ℓ2) runs
+    through the scalar adapter one lane at a time.
     """
+    kernel = kernel_for(spec.algorithm)
     return (spec.algorithm in VECTORIZED and not spec.algorithm_params
-            and spec.metric == "euclidean")
+            and spec.metric == "euclidean"
+            and (kernel is None or kernel.layout != "stack"))
 
 
 def _spec_metric(spec: SessionSpec) -> Metric | None:
@@ -76,18 +80,16 @@ def _spec_metric(spec: SessionSpec) -> Metric | None:
     return None if spec.metric == "euclidean" else get_metric(spec.metric)
 
 
-def _build_algorithm(spec: SessionSpec) -> VectorizedAlgorithm:
-    metric = _spec_metric(spec)
-    if poolable(spec):
+def _build_algorithm(spec: SessionSpec, grouped: bool) -> VectorizedAlgorithm:
+    """A wave's batched form, or a single lane's scalar reference."""
+    if grouped:
         return VECTORIZED[spec.algorithm]()
-    if spec.algorithm_params:
-        kwargs = spec.algorithm_kwargs()
-        adapter = ScalarBatchAdapter(
-            lambda: make_algorithm(spec.algorithm, **kwargs), name=spec.algorithm
-        )
-        adapter.metric = metric
-        return adapter
-    return make_vectorized(spec.algorithm, metric=metric)
+    kwargs = spec.algorithm_kwargs()
+    adapter = ScalarBatchAdapter(
+        lambda: make_algorithm(spec.algorithm, **kwargs), name=spec.algorithm
+    )
+    adapter.metric = _spec_metric(spec)
+    return adapter
 
 
 class _OneStep:
@@ -122,21 +124,19 @@ class SessionPool:
     ----------
     fuse:
         Force cross-lane wave packing on/off; ``None`` (default) follows
-        the global :func:`~repro.core.kernels.fusion_enabled` toggle —
-        the same switch the CLI's ``--no-fuse`` flips.
+        the global :func:`~repro.core.kernels.fusion_enabled` toggle at
+        construction — the same switch the CLI's ``--no-fuse`` flips.
+        The choice is fixed for the pool's lifetime, because a lane's
+        carried state belongs to the form (wave or scalar) that made it.
     """
 
     def __init__(self, *, fuse: bool | None = None) -> None:
-        self._fuse = fuse
+        #: Whether poolable lanes are packed into multi-lane waves.
+        self.wide = fusion_enabled() if fuse is None else bool(fuse)
         self.sessions: dict[str, OnlineSession] = {}
         self._wave_runtimes: dict[tuple, _WaveRuntime] = {}
         self._lane_runtimes: dict[str, _WaveRuntime] = {}
         self._seq = 0
-
-    @property
-    def wide(self) -> bool:
-        """Whether poolable lanes are packed into multi-lane waves."""
-        return fusion_enabled() if self._fuse is None else self._fuse
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -224,14 +224,14 @@ class SessionPool:
 
     # -- wave internals --------------------------------------------------
 
-    def _bind(self, sessions: Sequence[OnlineSession]) -> _WaveRuntime:
+    def _bind(self, sessions: Sequence[OnlineSession], grouped: bool) -> _WaveRuntime:
         """Build the engine-side arrays and algorithm for one composition.
 
         Mirrors ``simulate_batch``'s prologue exactly: per-lane caps via
         ``online_cap``, ``D`` and the cost-model mask off the instances,
         ``tol = caps + cap_tolerance(caps)``.
         """
-        algo = _build_algorithm(sessions[0].spec)
+        algo = _build_algorithm(sessions[0].spec, grouped)
         instances = [s.proto_instance for s in sessions]
         caps = np.array([s.spec.cap for s in sessions], dtype=np.float64)
         algo.reset_batch(instances, caps)
@@ -259,7 +259,7 @@ class SessionPool:
             sid = sessions[0].session_id
             runtime = self._lane_runtimes.get(sid)
             if runtime is None:
-                runtime = self._bind(sessions)
+                runtime = self._bind(sessions, grouped)
                 self._lane_runtimes[sid] = runtime
             return runtime
         key = (
@@ -270,7 +270,7 @@ class SessionPool:
         if runtime is None:
             if len(self._wave_runtimes) >= _RUNTIME_CACHE_LIMIT:
                 self._wave_runtimes.clear()
-            runtime = self._bind(sessions)
+            runtime = self._bind(sessions, grouped)
             self._wave_runtimes[key] = runtime
         return runtime
 

@@ -18,10 +18,11 @@ Operations
 ``{"op": "feed", "session": id, "points": [[..], ..], "at": t?}``
     Feed the requests of one step (``points`` may be ``[]``) and advance
     the engine.  ``steps: [[[..],..], ..]`` feeds several consecutive
-    steps at once.  ``at`` is the client-side step index: steps the
-    session already committed are acknowledged as duplicates instead of
-    re-applied, so replay after resume is exact regardless of where the
-    last checkpoint landed.
+    steps at once.  ``at`` is the client-side step index, a non-negative
+    integer: steps the session has already seen are acknowledged as
+    duplicates instead of re-applied, so replay after resume is exact
+    regardless of where the last checkpoint landed.  A re-fed step whose
+    points differ from the recorded ones is an error.
 
 ``{"op": "feed-many", "feeds": [{"session": .., "points": ..}, ..]}``
     Batch ingestion: enqueue every feed, then drain once — sessions
@@ -208,6 +209,13 @@ class ServeServer:
             return session.feed_steps(request["steps"], at=at)
         return int(session.feed(request.get("points"), at=at))
 
+    @staticmethod
+    def _unqueue(fed: list) -> None:
+        """Pop the steps this call enqueued off each session's queue."""
+        for session, enqueued in fed:
+            for _ in range(min(enqueued, len(session.pending))):
+                session.pending.pop()
+
     def _drain_or_rollback(self, fed: list) -> None:
         """Drain the pool; on engine failure, unqueue what this call fed.
 
@@ -218,9 +226,7 @@ class ServeServer:
         try:
             self.pool.drain()
         except Exception:
-            for session, enqueued in fed:
-                for _ in range(min(enqueued, len(session.pending))):
-                    session.pending.pop()
+            self._unqueue(fed)
             raise
 
     def _op_feed(self, request: Mapping[str, Any]) -> dict:
@@ -238,11 +244,15 @@ class ServeServer:
             raise ValueError("feed-many needs a 'feeds' list")
         fed = []
         applied = 0
-        for item in feeds:
-            session = self.pool.get(self._sid(item))
-            enqueued = self._enqueue(session, item)
-            fed.append((session, enqueued))
-            applied += enqueued
+        try:
+            for item in feeds:
+                session = self.pool.get(self._sid(item))
+                enqueued = self._enqueue(session, item)
+                fed.append((session, enqueued))
+                applied += enqueued
+        except Exception:
+            self._unqueue(fed)  # a rejected feed rejects the whole request
+            raise
         self._drain_or_rollback(fed)
         self._checkpoint_due()
         return {"ok": True, "applied": applied,

@@ -224,20 +224,33 @@ class OnlineSession:
     def feed(self, points: Any, at: int | None = None) -> bool:
         """Enqueue the requests of one step; returns whether it was new.
 
-        ``at`` is the client's step index for the batch.  Re-feeding an
-        index the session has already seen is a no-op returning ``False``
-        — that idempotency is what lets a client blindly replay its stream
-        after a server crash, regardless of where the checkpoint landed.
-        Feeding beyond :attr:`next_index` (a gap) is an error.
+        ``at`` is the client's step index for the batch, a non-negative
+        integer.  Re-feeding an index the session has already seen with
+        the same requests is a no-op returning ``False`` — that
+        idempotency is what lets a client blindly replay its stream after
+        a server crash, regardless of where the checkpoint landed.
+        Re-feeding it with different requests, or feeding beyond
+        :attr:`next_index` (a gap), is an error.
         """
         if self.closed:
             raise RuntimeError(f"session {self.session_id!r} is closed")
-        pts = as_points(points, dim=self.spec.dim) if points is not None \
-            else np.empty((0, self.spec.dim))
         if at is None:
             at = self.next_index
+        elif isinstance(at, bool) or not isinstance(at, (int, np.integer)) or at < 0:
+            raise ValueError(
+                f"session {self.session_id!r}: 'at' must be a non-negative "
+                f"integer step index, got {at!r}"
+            )
         at = int(at)
+        pts = as_points(points, dim=self.spec.dim) if points is not None \
+            else np.empty((0, self.spec.dim))
         if at < self.next_index:
+            seen = self.history[at] if at < self.steps else self.pending[at - self.steps]
+            if seen.shape != pts.shape or seen.tobytes() != pts.tobytes():
+                raise ValueError(
+                    f"session {self.session_id!r}: step {at} was already fed "
+                    "with different requests"
+                )
             return False
         if at > self.next_index:
             raise ValueError(

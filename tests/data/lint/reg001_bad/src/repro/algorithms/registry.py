@@ -1,4 +1,4 @@
-"""REG001 bad fixture: the algorithm registry (missing 'orphan-entry')."""
+"""REG001 bad fixture: the algorithm registry (missing 'ghost' and 'orphan-entry')."""
 
 
 def _make_alpha():
@@ -7,5 +7,4 @@ def _make_alpha():
 
 ALGORITHMS = {
     "alpha": _make_alpha,
-    "phantom": _make_alpha,
 }

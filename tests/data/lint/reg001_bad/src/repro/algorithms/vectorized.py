@@ -1,16 +1,11 @@
-"""REG001 bad fixture: kernel tags out of step with the KERNELS registry."""
+"""REG001 bad fixture: a batched entry no registry name reaches."""
 
 
 class BatchedAlpha:
-    kernel = "alpha"
-
-
-class BatchedPhantom:
-    kernel = "phantom"  # advertised but never registered in KERNELS
+    pass
 
 
 VECTORIZED = {
     "alpha": BatchedAlpha,
-    "phantom": BatchedPhantom,
     "orphan-entry": BatchedAlpha,  # not in ALGORITHMS at all
 }

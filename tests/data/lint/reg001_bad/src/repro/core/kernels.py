@@ -1,4 +1,4 @@
-"""REG001 bad fixture: a dead kernel and a missing one."""
+"""REG001 bad fixture: a kernel bound to a name the registry lacks."""
 
 
 class StepKernel:
@@ -8,5 +8,5 @@ class StepKernel:
 
 KERNELS = {
     "alpha": StepKernel("alpha"),
-    "ghost": StepKernel("ghost"),  # no vectorized class advertises this
+    "ghost": StepKernel("ghost"),  # no ALGORITHMS entry binds this name
 }

@@ -1,4 +1,4 @@
-"""REG001 good fixture: every vectorized entry is registry-addressable."""
+"""REG001 good fixture: every kernel and batched entry is registry-addressable."""
 
 
 def _make():
@@ -9,5 +9,6 @@ ALGORITHMS = {
     "alpha": _make,
     "beta": _make,
     "beta-soft": _make,
+    "gamma": _make,
     "scalar-only": _make,
 }

@@ -1,16 +1,18 @@
-"""REG001 good fixture: vectorized classes and kernel tags in lock-step."""
+"""REG001 good fixture: batched entries derived from KERNELS plus one loop."""
+
+from repro.core.kernels import KERNELS
 
 
-class BatchedAlpha:
-    kernel = "alpha"
+class KernelAlgorithm:
+    def __init__(self, name):
+        self.name = name
 
 
-class BatchedBeta:
-    kernel = "beta"
+class BatchedGamma:
+    pass
 
 
 VECTORIZED = {
-    "alpha": BatchedAlpha,
-    "beta": BatchedBeta,
-    "beta-soft": lambda: BatchedBeta(),
+    **{name: (lambda name=name: KernelAlgorithm(name)) for name in KERNELS},
+    "gamma": BatchedGamma,
 }

@@ -1,4 +1,4 @@
-"""REG001 good fixture: every kernel advertised, none dead."""
+"""REG001 good fixture: every kernel bound to a registry name."""
 
 
 class StepKernel:
@@ -6,7 +6,10 @@ class StepKernel:
         self.name = name
 
 
+_BETA = StepKernel("beta")
+
 KERNELS = {
     "alpha": StepKernel("alpha"),
-    "beta": StepKernel("beta"),
+    "beta": _BETA,
+    "beta-soft": _BETA,
 }

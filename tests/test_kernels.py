@@ -4,7 +4,8 @@ Two independent fast paths promise *bit-identical* float64 results:
 
 * :mod:`repro.core.kernels` — fused decide/clamp/validate/accounting
   kernels that :func:`repro.core.engine.simulate_batch` auto-selects for
-  kernel-capable algorithms on uniformly packed request stacks; and
+  kernel-capable algorithms on uniformly packed request stacks, checked
+  against the scalar reference rules (``fuse=False``); and
 * cross-cell mega-batching (:mod:`repro.api.runtime`) — compatible
   scenario cells packed into one wide ``simulate_batch`` call, split
   back per cell with unchanged store digests.
@@ -75,7 +76,7 @@ class TestFusedParity:
     def test_bit_identical_to_per_step_loop(self, name, model, dim, r):
         """Every kernel, both cost models, dims/request counts straddling
         the kernels' internal layout thresholds (d≤2 slice-add vs einsum,
-        r≥8 transposed reductions)."""
+        r≥8 transposed reductions), against the scalar reference."""
         instances = _uniform_instances(dim, T=36, B=6, r=r, model=model)
         loop = simulate_batch(instances, name, delta=0.5, fuse=False)
         fused = simulate_batch(instances, name, delta=0.5, fuse=True)
@@ -128,23 +129,28 @@ class TestMedianFamilyVariants:
     cost models and per-lane δ arrays."""
 
     def _factories(self):
-        from repro.algorithms.vectorized import (
-            BatchedFollowLast,
-            BatchedLazyThreshold,
-            BatchedMoveToCenter,
-            BatchedMoveToMin,
+        from repro.algorithms import (
+            FollowLastRequest,
+            KernelAlgorithm,
+            LazyThreshold,
+            MoveToCenter,
+            MoveToMin,
         )
 
-        return {
-            "mtc-scale": lambda: BatchedMoveToCenter(step_scale=0.5),
-            "mtc-weiszfeld": lambda: BatchedMoveToCenter(tie_break="weiszfeld"),
-            "mtc-midpoint": lambda: BatchedMoveToCenter(tie_break="midpoint"),
-            "mtc-capfrac": lambda: BatchedMoveToCenter(cap_fraction=0.5),
-            "follow-smooth": lambda: BatchedFollowLast(smoothing=0.25),
-            "lazy-aggressive": lambda: BatchedLazyThreshold(threshold_factor=0.25),
-            "lazy-window": lambda: BatchedLazyThreshold(window=3),
-            "mtm-phase": lambda: BatchedMoveToMin(phase_requests=3),
+        variants = {
+            "mtc-scale": ("mtc", lambda: MoveToCenter(step_scale=0.5)),
+            "mtc-weiszfeld": ("mtc", lambda: MoveToCenter(tie_break="weiszfeld")),
+            "mtc-midpoint": ("mtc", lambda: MoveToCenter(tie_break="midpoint")),
+            "mtc-capfrac": ("mtc", lambda: MoveToCenter(cap_fraction=0.5)),
+            "follow-smooth": ("follow-last", lambda: FollowLastRequest(smoothing=0.25)),
+            "lazy-aggressive": ("lazy", lambda: LazyThreshold(threshold_factor=0.25)),
+            "lazy-window": ("lazy", lambda: LazyThreshold(window=3)),
+            "mtm-phase": ("move-to-min", lambda: MoveToMin(phase_requests=3)),
         }
+        # The kernel is bound by registry name; the scalar factory
+        # supplies the variant parameters it reads.
+        return {key: (lambda name=name, factory=factory: KernelAlgorithm(name, factory))
+                for key, (name, factory) in variants.items()}
 
     @pytest.mark.parametrize("variant", [
         "mtc-scale", "mtc-weiszfeld", "mtc-midpoint", "mtc-capfrac",
@@ -178,37 +184,27 @@ class TestMedianFamilyVariants:
         _assert_batches_equal(fused, loop)
 
 
-class TestNearestChaserRaggedFallback:
-    def test_padded_argmin_matches_scalar_loop(self):
-        """The vectorized ragged fallback (padded +inf argmin) must pick
-        the same request — first of ties included — as the per-lane scalar
-        algorithms."""
-        from repro.algorithms.registry import ALGORITHMS
-        from repro.algorithms.vectorized import ScalarBatchAdapter
+class TestNearestChaserTies:
+    def test_exact_ties_resolve_to_first_request(self, monkeypatch):
+        """Duplicate equidistant requests on the kernel path: argmin must
+        keep the scalar first-index tie-break."""
+        calls = []
+        real = kernels_mod.run_fused
 
-        rng = np.random.default_rng(31)
-        instances = []
-        for s in range(4):
-            counts = rng.integers(0, 5, size=30)
-            counts[::7] = 0  # lanes with empty steps stay put
-            batches = [rng.normal(scale=0.5, size=(int(c), 2)) for c in counts]
-            instances.append(MSPInstance(RequestSequence(batches, dim=2),
-                                         start=rng.normal(size=2), D=2.0, m=1.0))
-        got = simulate_batch(instances, "nearest-chaser", delta=0.5, fuse=False)
-        adapter = ScalarBatchAdapter(ALGORITHMS["nearest-chaser"],
-                                     name="nearest-chaser")
-        want = simulate_batch(instances, adapter, delta=0.5, fuse=False)
-        _assert_batches_equal(got, want)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    def test_exact_ties_resolve_to_first_request(self):
-        """Duplicate equidistant requests: argmin must keep the scalar
-        first-index tie-break."""
-        pts = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        seq = RequestSequence([pts, pts[:2], np.empty((0, 2))], dim=2)
+        monkeypatch.setattr(kernels_mod, "run_fused", spy)
+        ties = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        far = np.array([[0.5, 2.0], [0.5, 2.0], [0.5, -2.0]])
+        seq = RequestSequence.from_packed(np.stack([ties, far, ties]))
         inst = MSPInstance(seq, start=np.zeros(2), D=1.0, m=1.0)
-        trace = simulate_batch([inst], "nearest-chaser", delta=0.0, fuse=False)
-        np.testing.assert_array_equal(trace.positions[0, 1], [1.0, 0.0])
-        np.testing.assert_array_equal(trace.positions[0, 3], trace.positions[0, 2])
+        fused = simulate_batch([inst], "nearest-chaser", delta=0.0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(fused.positions[0, 1], [1.0, 0.0])
+        reference = simulate_batch([inst], "nearest-chaser", delta=0.0, fuse=False)
+        _assert_batches_equal(fused, reference)
 
 
 # -- dispatch and toggles --------------------------------------------------
@@ -216,15 +212,19 @@ class TestNearestChaserRaggedFallback:
 
 class TestFusionDispatch:
     def test_every_kernel_is_registered_on_its_algorithm(self):
-        from repro.algorithms import make_vectorized
+        from repro.algorithms import KernelAlgorithm, make_algorithm, make_vectorized
 
         for name in KERNEL_ALGOS:
-            assert kernel_for(make_vectorized(name)) is KERNELS[name]
-        # Variant registry names advertise their family's kernel ...
-        assert kernel_for(make_vectorized("lazy-aggressive")) is KERNELS["lazy"]
-        assert kernel_for(make_vectorized("follow-smooth")) is KERNELS["follow-last"]
+            algo = make_vectorized(name)
+            assert isinstance(algo, KernelAlgorithm)
+            assert algo.kernel is kernel_for(name) is KERNELS[name]
+            assert algo.name == make_algorithm(name).name
+        # Variant registry names are bound to their family's kernel ...
+        assert kernel_for("lazy-aggressive") is KERNELS["lazy"]
+        assert kernel_for("follow-smooth") is KERNELS["follow-last"]
         # ... and the per-lane-RNG algorithm stays unkerneled.
-        assert kernel_for(make_vectorized("coin-flip")) is None
+        assert kernel_for("coin-flip") is None
+        assert not isinstance(make_vectorized("coin-flip"), KernelAlgorithm)
 
     def test_set_fusion_returns_previous_state(self):
         assert fusion_enabled()
@@ -273,6 +273,37 @@ class TestFusionDispatch:
         instances = _uniform_instances(2, T=10, B=3, r=2)
         simulate_batch(instances, "coin-flip", delta=0.5)
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["mtc-answer-first", "mtc-moving-client",
+                                      "mtc-multi-agent"])
+    def test_mtc_subclasses_never_fuse(self, name, monkeypatch):
+        """Kernels are bound by registry name, so the MtC subclasses stay
+        on their own scalar rules even on packed ℓ2 stacks."""
+        from repro.algorithms import make_algorithm
+        from repro.core import simulate
+        from repro.extensions import MultiAgentMtC
+
+        calls = self._count_fused_calls(monkeypatch)
+        r, model = 3, CostModel.MOVE_FIRST
+        if name == "mtc-answer-first":
+            model = CostModel.ANSWER_FIRST
+        if name == "mtc-moving-client":
+            r = 1
+        instances = _uniform_instances(2, T=12, B=3, r=r, model=model)
+        if name == "mtc-multi-agent":
+            factory = lambda: MultiAgentMtC(n_agents=r)  # noqa: E731
+            algorithm = factory
+        else:
+            factory = lambda: make_algorithm(name)  # noqa: E731
+            algorithm = name
+            assert kernel_for(name) is None
+        batch = simulate_batch(instances, algorithm, delta=0.5)
+        assert calls == []
+        assert batch.algorithm == factory().name
+        for i, inst in enumerate(instances):
+            scalar = simulate(inst, factory(), delta=0.5)
+            np.testing.assert_array_equal(batch.positions[i], scalar.positions)
+            np.testing.assert_array_equal(batch.service_costs[i], scalar.service_costs)
 
 
 # -- cross-cell mega-batching ----------------------------------------------

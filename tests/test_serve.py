@@ -12,8 +12,9 @@ equality is bit equality), never approximate.
 import numpy as np
 import pytest
 
-from repro.algorithms.vectorized import VECTORIZED
+from repro.algorithms.vectorized import VECTORIZED, KernelAlgorithm
 from repro.api import Scenario, run
+from repro.core import KERNELS
 from repro.core.store import ResultsStore
 from repro.serve import (
     SessionPool,
@@ -29,6 +30,9 @@ from repro.serve import (
 )
 
 VEC_NAMES = sorted(VECTORIZED)
+#: Kernels serve waves step one step at a time; "stack" kernels pool
+#: earlier steps and run lane by lane through the scalar adapter.
+WAVE_KERNELS = sorted(name for name, k in KERNELS.items() if k.layout != "stack")
 COST_MODELS = ("move-first", "answer-first")
 
 
@@ -212,6 +216,70 @@ class TestPooledParity:
             solo.feed_steps(histories[i], at=0)
             solo_pool.drain()
             assert trace_json(wide[i].trace()) == trace_json(solo.trace())
+
+
+def _wave_case(case, rng, steps=16):
+    """``(histories, opens)``: four lanes' request streams and the tick
+    each lane opens at (a lane closes once its stream is exhausted)."""
+    if case == "r-changes":
+        # r varies step to step (ragged reference runs), plus one lane
+        # with a constant r whose reference is the fused engine path.
+        histories = [[rng.normal(size=(int(rng.integers(1, 4)), 2))
+                      for _ in range(steps)] for _ in range(3)]
+        histories.append([rng.normal(size=(2, 2)) for _ in range(steps)])
+        return histories, [0, 0, 0, 0]
+    if case == "empty-steps":
+        patterns = [
+            (0, 0, 2, 2, 0, 0, 0, 2, 2, 0, 2, 0, 0, 0, 2, 2),
+            (2, 0, 0, 0, 0, 2, 2, 2, 0, 2, 0, 0, 2, 2, 0, 0),
+            (0,) * 6 + (2,) * 4 + (0,) * 6,
+            (2, 2, 0, 2, 2, 0, 2, 2, 0, 2, 2, 0, 2, 2, 0, 2),
+        ]
+        return [[rng.normal(size=(r, 2)) for r in pat] for pat in patterns], [0, 0, 0, 0]
+    # "recomposed": lanes join and leave mid-stream, so waves mix lanes
+    # at different step indices and every wave composition is new.
+    lengths, opens = (16, 7, 10, 6), [0, 0, 4, 9]
+    histories = [[rng.normal(size=(int(rng.integers(0, 3)), 2)) for _ in range(n)]
+                 for n in lengths]
+    return histories, opens
+
+
+class TestKernelWaves:
+    """Every kernel serve waves step, in ragged, empty and recomposed waves."""
+
+    @pytest.mark.parametrize("case", ["r-changes", "empty-steps", "recomposed"])
+    @pytest.mark.parametrize("algorithm", WAVE_KERNELS)
+    def test_wave_matches_batch_run(self, algorithm, case, monkeypatch):
+        widths = []
+        real = KernelAlgorithm.decide_batch
+
+        def spy(self, t, positions, step):
+            widths.append(positions.shape[0])
+            return real(self, t, positions, step)
+
+        monkeypatch.setattr(KernelAlgorithm, "decide_batch", spy)
+        rng = np.random.default_rng(53)
+        histories, opens = _wave_case(case, rng)
+        specs = [make_spec(algorithm, seed=s) for s in range(len(histories))]
+        assert all(poolable(spec) for spec in specs)
+        pool = SessionPool(fuse=True)
+        sessions = [None] * len(specs)
+        for tick in range(max(o + len(h) for o, h in zip(opens, histories))):
+            for i, spec in enumerate(specs):
+                if tick == opens[i]:
+                    sessions[i] = pool.open(spec, f"k{i}")
+                step = tick - opens[i]
+                if 0 <= step < len(histories[i]):
+                    sessions[i].feed(histories[i][step], at=step)
+            pool.tick()
+            for i, session in enumerate(sessions):
+                if session is not None and not session.closed and \
+                        session.steps == len(histories[i]):
+                    pool.close(session.session_id)
+        assert max(widths) > 1  # lanes really shared kernel waves
+        for session, spec, history in zip(sessions, specs, histories):
+            assert session.steps == len(history)
+            assert_bit_identical(session, batch_reference(spec, history))
 
 
 class TestCheckpointResume:

@@ -91,6 +91,39 @@ class TestProtocol:
         gap = server.handle({"op": "feed", "session": "s1", "points": pts, "at": 7})
         assert not gap["ok"] and "gap" in gap["error"]
 
+    def test_at_must_be_a_non_negative_integer(self, tmp_path):
+        server = make_server(tmp_path)
+        server.handle({"op": "open", "session": "s1", "spec": SPEC})
+        line = '{"op": "feed", "session": "s1", "points": [[0.5, 0.5]], "at": %s}'
+        assert server.handle_line(line % "0")["applied"] == 1
+        for bad in ("1.5", "1.0", "-1", "true", '"1"'):
+            reply = server.handle_line(line % bad)
+            assert not reply["ok"] and "non-negative integer" in reply["error"], bad
+        state = server.handle({"op": "state", "session": "s1"})
+        assert state["steps"] == 1 and state["pending"] == 0
+
+    def test_conflicting_replay_is_error_identical_replay_is_noop(self, tmp_path):
+        server = make_server(tmp_path)
+        server.handle({"op": "open", "session": "s1", "spec": SPEC})
+        first = server.handle_line(
+            '{"op": "feed", "session": "s1", "points": [[1e308, 1e308]], "at": 0}')
+        assert first["ok"] and first["applied"] == 1
+        same = server.handle_line(
+            '{"op": "feed", "session": "s1", "points": [[1e308, 1e308]], "at": 0}')
+        assert same["ok"] and same["applied"] == 0
+        for points in ("[]", "[[1e308, 1e307]]", "[[1e308, 1e308], [0.0, 0.0]]"):
+            reply = server.handle_line(
+                '{"op": "feed", "session": "s1", "points": %s, "at": 0}' % points)
+            assert not reply["ok"] and "different requests" in reply["error"], points
+        # A conflicting step inside a feed-many rejects the whole request.
+        reply = server.handle({"op": "feed-many", "feeds": [
+            {"session": "s1", "points": [[0.0, 1.0]], "at": 1},
+            {"session": "s1", "points": [], "at": 0},
+        ]})
+        assert not reply["ok"] and "different requests" in reply["error"]
+        state = server.handle({"op": "state", "session": "s1"})
+        assert state["steps"] == 1 and state["pending"] == 0
+
     def test_error_replies_never_raise(self, tmp_path):
         server = make_server(tmp_path)
         assert not server.handle({"op": "nope"})["ok"]
