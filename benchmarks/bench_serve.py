@@ -14,6 +14,11 @@ the fused kernels on and off, and writes requests/sec to
   ``feed-many`` requests, with checkpointing disabled (cadence beyond
   the run) and at the default cadence of 16, isolating the JSON +
   checkpoint overhead.
+* ``server_20_lanes_checkpoint16_<N>_steps`` rows — the steps axis: 20
+  lanes checkpointed every 16 steps for 200, 1000 and 5000 steps.  A
+  checkpoint costs O(new steps), so the rate should stay flat (within
+  10 %) as the history grows; ``summary.steps_axis_spread`` is the
+  fastest row's rate over the slowest's.
 
 Usage::
 
@@ -41,6 +46,15 @@ REQUESTS_PER_STEP = 2
 
 #: lanes -> streamed steps (bounded total work on a 1-CPU container).
 LANE_STEPS = {1: 2000, 100: 200, 10_000: 5}
+
+#: The checkpointed steps axis: lanes, cadence and stream lengths.  Each
+#: row is the median-time run of ``AXIS_REPEATS``: on a shared host one
+#: run's rate swings by tens of percent, more than the 10 % flatness
+#: the axis checks.
+AXIS_LANES = 20
+AXIS_CADENCE = 16
+AXIS_STEPS = (200, 1000, 5000)
+AXIS_REPEATS = 3
 
 
 def make_specs(lanes: int) -> list[SessionSpec]:
@@ -105,6 +119,19 @@ def bench_server(lanes: int, steps: int, checkpoint_every: int, root) -> dict:
     }
 
 
+def bench_steps_axis(root) -> dict[str, dict]:
+    runs = {}
+    for steps in AXIS_STEPS:
+        key = f"server_{AXIS_LANES}_lanes_checkpoint{AXIS_CADENCE}_{steps}_steps"
+        repeats = sorted((bench_server(AXIS_LANES, steps, AXIS_CADENCE,
+                                       os.path.join(root, f"{steps}-{i}"))
+                          for i in range(AXIS_REPEATS)), key=lambda row: row["seconds"])
+        runs[key] = repeats[AXIS_REPEATS // 2]
+        print(f"{key:40s}: {runs[key]['requests_per_sec']:12.0f} req/s "
+              f"({runs[key]['seconds']:.3f}s)")
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=str, default="BENCH_serve.json")
@@ -125,9 +152,12 @@ def main(argv=None) -> int:
             runs[key] = bench_server(lanes, steps, cadence, tmp)
             print(f"{key:32s}: {runs[key]['requests_per_sec']:12.0f} req/s "
                   f"({runs[key]['seconds']:.3f}s)")
+        axis = bench_steps_axis(tmp)
+    runs.update(axis)
 
     wide = runs["pool_10000_lanes_fused"]["lane_steps_per_sec"]
     solo = runs["pool_1_lanes_fused"]["lane_steps_per_sec"]
+    axis_rates = [row["requests_per_sec"] for row in axis.values()]
     payload = {
         "benchmark": "serve-throughput",
         "algorithm": ALGORITHM,
@@ -142,6 +172,7 @@ def main(argv=None) -> int:
             "protocol_overhead_ratio": (
                 runs["server_100_lanes_no_checkpoint"]["seconds"]
                 / runs["pool_100_lanes_fused"]["seconds"]),
+            "steps_axis_spread": max(axis_rates) / min(axis_rates),
         },
     }
     with open(args.out, "w") as fh:

@@ -454,7 +454,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import ServeServer
+    from .serve import CheckpointError, ServeServer
 
     _apply_no_fuse(args)
     try:
@@ -467,7 +467,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"bad serve options: {exc}", file=sys.stderr)
         return 2
     if args.resume:
-        restored = server.resume()
+        try:
+            restored = server.resume()
+        except CheckpointError as exc:
+            print(f"cannot resume: {exc}", file=sys.stderr)
+            return 2
         print(f"resumed {len(restored)} session(s)"
               + (f": {', '.join(restored)}" if restored else ""),
               file=sys.stderr, flush=True)
@@ -673,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
                             "final session results")
     p_srv.add_argument("--server-id", type=str, default="serve",
                        help="stable identity of this server's checkpoint "
-                            "slots (default: serve); resume with the same id")
+                            "head (default: serve); resume with the same id")
     p_srv.add_argument("--port", type=int, default=None, metavar="N",
                        help="serve the line protocol on TCP port N (0 picks "
                             "a free port, announced on stdout); default: "
@@ -686,8 +690,9 @@ def main(argv: list[str] | None = None) -> int:
                             "which an idempotent client replay restores)")
     p_srv.add_argument("--resume", action="store_true",
                        help="restore every session in this server-id's "
-                            "manifest by replaying its checkpointed request "
-                            "history before serving")
+                            "head by replaying its checkpointed request "
+                            "history before serving; a broken checkpoint "
+                            "exits 2 naming the session")
     _add_no_fuse_flag(p_srv)
     p_srv.set_defaults(func=_cmd_serve)
 

@@ -221,15 +221,20 @@ class ResultsStore:
         return self.path_for(digest).exists()
 
     def load(self, digest: str) -> Any:
-        path = self.path_for(digest)
-        payload = load_payload(path)
-        # Bump the entry's mtime so :meth:`gc` sees it as recently used
-        # (atimes are unreliable under relatime/noatime mounts).
+        payload = load_payload(self.path_for(digest))
+        self.touch(digest)
+        return payload
+
+    def touch(self, digest: str) -> None:
+        """Stamp ``digest`` as just used, so :meth:`gc` evicts it last.
+
+        Bumps the entry's mtime (atimes are unreliable under
+        relatime/noatime mounts); a missing entry is left missing.
+        """
         try:
-            os.utime(path)
+            os.utime(self.path_for(digest))
         except OSError:
             pass
-        return payload
 
     def load_or_none(self, digest: str, default: Any = None) -> Any:
         """:meth:`load`, except missing/corrupt entries return ``default``.

@@ -22,11 +22,14 @@ Layers
     instance (the licensing the mega-batcher already proved per lane).
 
 ``checkpoint.py``
-    Periodic session checkpoints through the content-addressed
+    Durable checkpoints through the content-addressed
     :class:`~repro.core.store.ResultsStore` (atomic tmp+rename): the
     request history is the checkpoint, resume replays it through the
     engine, so a SIGKILL'd server completes traces bit-identically to an
-    uninterrupted run.
+    uninterrupted run.  Each checkpoint wave appends one immutable segment
+    holding every due session's new steps and rewrites one small pinned
+    head mapping each open session to its newest segment, so a checkpoint
+    costs O(new steps) and two store writes.
 
 :class:`ServeServer` (``server.py``)
     The asyncio ingestion front end behind ``mobile-server serve`` —
@@ -40,15 +43,12 @@ Layers
 """
 
 from .checkpoint import (
-    delete_session_checkpoint,
+    CheckpointError,
+    CheckpointLog,
     final_result_digest,
-    load_manifest,
-    load_session_checkpoint,
-    manifest_digest,
+    head_digest,
     save_final_result,
-    save_manifest,
     save_session_checkpoint,
-    session_checkpoint_digest,
 )
 from .parity import batch_reference, session_specs_for, stream_scenario, trace_json
 from .pool import SessionPool, poolable
@@ -56,22 +56,19 @@ from .server import ServeServer
 from .session import OnlineSession, SessionSpec, request_stream_digest
 
 __all__ = [
+    "CheckpointError",
+    "CheckpointLog",
     "OnlineSession",
     "ServeServer",
     "SessionPool",
     "SessionSpec",
     "batch_reference",
-    "delete_session_checkpoint",
     "final_result_digest",
-    "load_manifest",
-    "load_session_checkpoint",
-    "manifest_digest",
+    "head_digest",
     "poolable",
     "request_stream_digest",
     "save_final_result",
-    "save_manifest",
     "save_session_checkpoint",
-    "session_checkpoint_digest",
     "session_specs_for",
     "stream_scenario",
     "trace_json",

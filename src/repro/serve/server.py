@@ -33,18 +33,21 @@ Operations
     Query a lane's position/costs, read its full per-step trace
     (canonical JSON arrays — byte-diffable against a batch run), or
     close it: the final payload graduates to a content-addressed store
-    entry and the live checkpoint slot is dropped.
+    entry, the session leaves the head and its segments no open session
+    still references are deleted.
 
 ``{"op": "shutdown"}``
-    Checkpoint every open session plus the manifest and exit cleanly.
+    Checkpoint every open session plus the head and exit cleanly.
 
-Crash safety: sessions are checkpointed on open, every
-``checkpoint_every`` committed steps, and at shutdown — through the
-store's atomic tmp+rename writes, pinned against gc while the server
-lives.  After a SIGKILL, ``--resume`` reloads the manifest and replays
-each checkpointed history through the engine, which restores positions,
-costs *and* carried algorithm state bit-exactly (determinism), so the
-completed trace equals an uninterrupted run's byte for byte.
+Crash safety: opening a session records it in the server's head, and
+every ``checkpoint_every`` committed steps (and at shutdown) one
+checkpoint wave appends the due sessions' new steps as one segment and
+rewrites the head — two atomic tmp+rename store writes, pinned against
+gc while the server lives.  After a SIGKILL, ``--resume`` reloads the
+head, verifies each session's segment chain and replays its history
+through the engine, which restores positions, costs *and* carried
+algorithm state bit-exactly (determinism), so the completed trace
+equals an uninterrupted run's byte for byte.
 """
 
 from __future__ import annotations
@@ -55,14 +58,7 @@ import sys
 from typing import Any, Mapping
 
 from ..core.store import ResultsStore
-from .checkpoint import (
-    delete_session_checkpoint,
-    save_final_result,
-    save_manifest,
-    save_session_checkpoint,
-    load_manifest,
-    load_session_checkpoint,
-)
+from .checkpoint import CheckpointLog, save_final_result, save_session_checkpoint
 from .parity import trace_json
 from .pool import SessionPool
 from .session import SessionSpec
@@ -91,54 +87,41 @@ class ServeServer:
         self.server_id = str(server_id)
         self.checkpoint_every = int(checkpoint_every)
         self.pool = SessionPool(fuse=fuse)
-        self._checkpointed_steps: dict[str, int] = {}
+        self.checkpoints = CheckpointLog(self.store, self.server_id)
         self._stopping = False
 
     # -- lifecycle -------------------------------------------------------
 
     def resume(self) -> list[str]:
-        """Restore every manifest session by replaying its checkpoint.
+        """Restore every head session by replaying its verified history.
 
-        Returns the restored session ids.  Sessions whose checkpoint slot
-        is missing (killed before the first save could land) are skipped
-        — the client's replayed ``open`` recreates them.
+        Returns the restored session ids.  The restored sessions keep
+        their stored segment chains, so resuming writes nothing; a broken
+        chain raises :class:`~repro.serve.checkpoint.CheckpointError`
+        naming the session.
         """
         restored = []
-        for session_id in load_manifest(self.store, self.server_id):
-            loaded = load_session_checkpoint(self.store, self.server_id, session_id)
-            if loaded is None:
-                continue
-            spec, history = loaded
-            session = self.pool.open(spec, session_id)
-            session.feed_steps(history, at=0)
+        for session_id, spec, history in self.checkpoints.restore():
+            self.pool.open(spec, session_id).feed_steps(history, at=0)
             restored.append(session_id)
         # Deterministic replay: the engine re-derives positions, costs
         # and carried algorithm state from the request history.
         self.pool.drain()
-        for session_id in restored:
-            self._checkpoint(session_id)
-        self._save_manifest()
         return restored
 
-    def _checkpoint(self, session_id: str) -> None:
-        session = self.pool.get(session_id)
-        save_session_checkpoint(self.store, self.server_id, session)
-        self._checkpointed_steps[session_id] = session.steps
-
-    def _save_manifest(self) -> None:
-        save_manifest(self.store, self.server_id, self.pool.sessions.keys())
-
     def _checkpoint_due(self) -> None:
-        for session_id, session in self.pool.sessions.items():
-            last = self._checkpointed_steps.get(session_id, 0)
-            if session.steps - last >= self.checkpoint_every:
-                self._checkpoint(session_id)
+        """One checkpoint wave over the sessions a cadence past their last."""
+        head = self.checkpoints.head
+        due = [session for session_id, session in self.pool.sessions.items()
+               if session.steps - head[session_id]["steps"] >= self.checkpoint_every]
+        if due:
+            save_session_checkpoint(self.checkpoints, due)
 
     def checkpoint_all(self) -> None:
-        """Force-checkpoint every open session plus the manifest."""
-        for session_id in list(self.pool.sessions):
-            self._checkpoint(session_id)
-        self._save_manifest()
+        """Checkpoint every open session's unsaved steps plus the head."""
+        if save_session_checkpoint(self.checkpoints,
+                                   list(self.pool.sessions.values())) is None:
+            self.checkpoints.save_head()
 
     # -- request handling ------------------------------------------------
 
@@ -173,7 +156,7 @@ class ServeServer:
     def handle_line(self, line: str | bytes) -> dict:
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return {"ok": False, "error": f"bad JSON: {exc}"}
         if not isinstance(request, dict):
             return {"ok": False, "error": "request must be a JSON object"}
@@ -197,8 +180,7 @@ class ServeServer:
             return {"ok": True, "session": existing.session_id,
                     "steps": existing.steps, "existing": True}
         session = self.pool.open(spec, session_id)
-        self._checkpoint(session.session_id)
-        self._save_manifest()
+        self.checkpoints.open(session)
         return {"ok": True, "session": session.session_id,
                 "steps": session.steps, "existing": False}
 
@@ -262,9 +244,7 @@ class ServeServer:
         session_id = self._sid(request)
         session = self.pool.close(session_id)
         digest = save_final_result(self.store, session)
-        delete_session_checkpoint(self.store, self.server_id, session_id)
-        self._checkpointed_steps.pop(session_id, None)
-        self._save_manifest()
+        self.checkpoints.close(session_id)
         return {"ok": True, "final": True, "digest": digest,
                 "stream_digest": session.stream_digest(), **session.state()}
 

@@ -12,14 +12,18 @@ decision state exported by the algorithm between ticks.
 Sessions never advance themselves — :class:`~repro.serve.pool.SessionPool`
 packs pending steps of compatible sessions into wide
 :func:`~repro.core.engine.advance_lanes` calls and commits the results
-back here.  That split keeps this module free of algorithm imports and
-makes a session trivially serializable: its durable identity is
-``(spec, request history)``; everything else is deterministic replay.
+back here.  That split keeps this module free of engine and algorithm
+code (specs only check algorithm names against the registry) and makes
+a session trivially serializable: its durable identity is ``(spec,
+request history)``; everything else is deterministic replay.
+The session folds each committed step into a running stream digest, so
+reading it never rehashes the history.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
@@ -35,19 +39,28 @@ from ..core.trace import Trace
 __all__ = ["OnlineSession", "SessionSpec", "request_stream_digest"]
 
 
+def _stream_hasher(dim: int):
+    return hashlib.sha256(b"dim=%d" % int(dim))
+
+
+def _hash_step(h, arr: np.ndarray) -> None:
+    """Fold one float64 step of at least one dimension into ``h``."""
+    h.update(b"|%d" % len(arr))
+    h.update(arr.tobytes())
+
+
 def request_stream_digest(batches: Iterable[np.ndarray], dim: int) -> str:
     """SHA-256 over a request stream's exact float64 contents.
 
     Two streams digest equally iff they have the same per-step counts and
     bit-identical coordinates — the identity used to assert that a resumed
     session completed the *same* trace an uninterrupted run would have.
+    :meth:`OnlineSession.stream_digest` folds the same bytes in step by
+    step; this whole-stream form verifies checkpoints on load.
     """
-    h = hashlib.sha256()
-    h.update(f"dim={int(dim)}".encode())
+    h = _stream_hasher(dim)
     for pts in batches:
-        arr = np.ascontiguousarray(np.asarray(pts, dtype=np.float64))
-        h.update(f"|{arr.shape[0]}".encode())
-        h.update(arr.tobytes())
+        _hash_step(h, np.ascontiguousarray(pts, dtype=np.float64))
     return h.hexdigest()
 
 
@@ -72,8 +85,14 @@ class SessionSpec:
     metric: str = "euclidean"
 
     def __post_init__(self) -> None:
+        from ..algorithms.registry import ALGORITHMS
         from ..core.metric import METRICS
 
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("D", "m", "delta"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.metric not in METRICS:
             raise ValueError(
                 f"metric must be one of {tuple(sorted(METRICS))}, got {self.metric!r}")
@@ -202,6 +221,7 @@ class OnlineSession:
         self.position = np.array(spec.start, dtype=np.float64)
         self.steps = 0
         self.history: list[np.ndarray] = []
+        self._digest = _stream_hasher(spec.dim)
         self.pending: deque[np.ndarray] = deque()
         #: Opaque per-lane decision state (``export_lane_states`` entry);
         #: ``None`` until the first committed step.  In-process only.
@@ -284,6 +304,7 @@ class OnlineSession:
         """Record one validated engine step for this lane."""
         points = self.pending.popleft()
         self.history.append(points)
+        _hash_step(self._digest, points)
         self.position = position
         self._positions.append(position)
         self._movement.append(float(movement))
@@ -348,7 +369,7 @@ class OnlineSession:
 
     def stream_digest(self) -> str:
         """Digest of the committed request stream (see :func:`request_stream_digest`)."""
-        return request_stream_digest(self.history, self.spec.dim)
+        return self._digest.copy().hexdigest()
 
     def final_payload(self) -> dict:
         """The content-addressed result payload saved when a session closes."""

@@ -17,11 +17,10 @@ from repro.api import Scenario, run
 from repro.core import KERNELS
 from repro.core.store import ResultsStore
 from repro.serve import (
+    CheckpointLog,
     SessionPool,
     SessionSpec,
     batch_reference,
-    delete_session_checkpoint,
-    load_session_checkpoint,
     poolable,
     request_stream_digest,
     save_session_checkpoint,
@@ -282,6 +281,12 @@ class TestKernelWaves:
             assert_bit_identical(session, batch_reference(spec, history))
 
 
+def restored_histories(store, server_id="srv"):
+    """What a fresh server would resume: session id -> (spec, history)."""
+    return {sid: (spec, history)
+            for sid, spec, history in CheckpointLog(store, server_id).restore()}
+
+
 class TestCheckpointResume:
     def test_mid_trace_resume_is_bit_identical(self, tmp_path):
         # Kill-and-resume semantics without a subprocess: checkpoint a
@@ -296,12 +301,14 @@ class TestCheckpointResume:
 
             pool = SessionPool()
             live = pool.open(spec, "live")
+            log = CheckpointLog(store, "srv")
+            log.open(live)
             for step in range(14):
                 live.feed(history[step], at=step)
                 pool.tick()
-            save_session_checkpoint(store, "srv", live)
+            save_session_checkpoint(log, [live])
 
-            loaded = load_session_checkpoint(store, "srv", "live")
+            loaded = restored_histories(store).get("live")
             assert loaded is not None
             restored_spec, restored_history = loaded
             assert restored_spec == spec
@@ -316,7 +323,7 @@ class TestCheckpointResume:
                 pool2.tick()
 
             assert_bit_identical(resumed, batch_reference(spec, history))
-            delete_session_checkpoint(store, "srv", "live")
+            log.close("live")
 
     def test_checkpoint_roundtrip_preserves_stream_digest(self, tmp_path):
         rng = np.random.default_rng(43)
@@ -325,15 +332,47 @@ class TestCheckpointResume:
         history = make_history(rng, 9, spec.dim)
         pool = SessionPool()
         session = pool.open(spec, "d")
+        log = CheckpointLog(store, "srv")
+        log.open(session)
         session.feed_steps(history, at=0)
         pool.drain()
-        save_session_checkpoint(store, "srv", session)
-        loaded_spec, loaded_history = load_session_checkpoint(store, "srv", "d")
+        save_session_checkpoint(log, [session])
+        loaded_spec, loaded_history = restored_histories(store)["d"]
         assert request_stream_digest(loaded_history, spec.dim) == session.stream_digest()
 
-    def test_missing_checkpoint_is_none(self, tmp_path):
+    def test_missing_head_restores_nothing(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
-        assert load_session_checkpoint(store, "srv", "nope") is None
+        assert restored_histories(store) == {}
+
+    def test_one_segment_per_wave_holds_every_due_session(self, tmp_path):
+        rng = np.random.default_rng(53)
+        store = ResultsStore(tmp_path / "store")
+        log = CheckpointLog(store, "srv")
+        pool = SessionPool()
+        specs = {sid: make_spec("mtc", dim=dim, seed=i)
+                 for i, (sid, dim) in enumerate((("a", 1), ("b", 2), ("c", 3)))}
+        histories = {sid: make_history(rng, 10, spec.dim) for sid, spec in specs.items()}
+        sessions = [pool.open(spec, sid) for sid, spec in specs.items()]
+        for session in sessions:
+            log.open(session)
+        for cut in (4, 10):
+            for session in sessions:
+                session.feed_steps(histories[session.session_id][session.steps:cut],
+                                   at=session.steps)
+            pool.drain()
+            before = len(store)
+            save_session_checkpoint(log, sessions)
+            assert len(store) == before + 1  # one segment; the head is rewritten
+        assert {sid: len(chain) for sid, chain in log.chains.items()} == \
+            {"a": 2, "b": 2, "c": 2}
+        restored = restored_histories(store)
+        for sid, (spec, history) in restored.items():
+            assert spec == specs[sid]
+            assert request_stream_digest(history, spec.dim) == \
+                request_stream_digest(histories[sid], spec.dim)
+        for sid in specs:
+            log.close(sid)
+        assert len(store) == 0
 
 
 class TestScenarioStreaming:
@@ -379,6 +418,33 @@ class TestSessionProtocol:
         with pytest.raises(ValueError):
             SessionSpec.from_dict({"algorithm": "mtc", "dim": 2,
                                    "start": [0.0, 0.0], "bogus": 1})
+
+    def test_running_digest_matches_every_prefix(self):
+        rng = np.random.default_rng(59)
+        for dim in (1, 2, 3):
+            spec = make_spec("greedy-centroid", dim=dim)
+            history = make_history(rng, 12, dim)
+            pool = SessionPool()
+            session = pool.open(spec, "p")
+            assert session.stream_digest() == request_stream_digest([], dim)
+            for step, points in enumerate(history):
+                session.feed(points, at=step)
+                pool.tick()
+                assert session.stream_digest() == \
+                    request_stream_digest(history[:step + 1], dim)
+                assert session.stream_digest() == \
+                    request_stream_digest(session.history, dim)
+
+    @pytest.mark.parametrize("field,value", [
+        ("algorithm", "nope"),
+        ("D", float("nan")), ("D", float("inf")),
+        ("m", float("nan")), ("m", float("-inf")),
+        ("delta", float("nan")), ("delta", float("inf")),
+    ])
+    def test_spec_rejects_unknown_algorithm_and_non_finite_knobs(self, field, value):
+        payload = dict(make_spec("mtc").to_dict(), **{field: value})
+        with pytest.raises(ValueError, match=field if field != "algorithm" else "unknown"):
+            SessionSpec.from_dict(payload)
 
     def test_stream_digest_sensitivity(self):
         rng = np.random.default_rng(47)
