@@ -15,8 +15,7 @@ Usage::
         --src before=/path/to/parent/src --src after=src
 
 The JSON record printed last is meant to be pasted by hand into
-``BENCH_experiments.json`` under a key naming the change it measures;
-``benchmarks/conftest.py`` keeps such keys when it rewrites that file.
+``BENCH_experiments.json`` under a key naming the change it measures.
 """
 
 from __future__ import annotations

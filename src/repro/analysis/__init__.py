@@ -11,10 +11,7 @@ from .potential import (
 from .ratio import (
     RatioMeasurement,
     collapse_to_centers,
-    measure_adversarial_ratio,
-    measure_adversarial_ratio_batch,
     measure_ratio,
-    measure_ratio_batch,
     measures_from_payload,
     measures_to_payload,
 )
@@ -35,12 +32,9 @@ __all__ = [
     "figure2_worst_case",
     "fit_linear",
     "fit_power_law",
-    "measure_adversarial_ratio",
-    "measure_adversarial_ratio_batch",
     "measures_from_payload",
     "measures_to_payload",
     "measure_ratio",
-    "measure_ratio_batch",
     "potential_value",
     "ratio_curve",
     "render_table",

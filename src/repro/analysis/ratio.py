@@ -1,20 +1,15 @@
-"""Competitive-ratio measurement.
+"""Competitive-ratio measurement against a bracketed offline optimum.
 
-Two measurement modes:
-
-* against a **bracketed optimum** (:func:`measure_ratio`): ratio is quoted
-  as a certified interval ``[cost/upper, cost/lower]``;
-* against an **adversary construction** (:func:`measure_adversarial_ratio`):
-  the adversary's own cost upper-bounds OPT, so ``cost/adv_cost`` is a
-  certified ratio *lower bound* — exactly what a lower-bound experiment
-  needs.  Randomized constructions / algorithms are averaged over seeds.
-
-Both modes have batched counterparts (:func:`measure_ratio_batch`,
-:func:`measure_adversarial_ratio_batch`) that play all seeds/instances in
-lock-step through :func:`repro.core.engine.simulate_batch` — one engine
-pass instead of one Python simulation loop per seed — and return the same
-per-instance measurements, so experiment sweeps switch between the paths
-freely.
+:class:`RatioMeasurement` quotes a ratio as a certified interval
+``[cost/upper, cost/lower]`` over an :class:`~repro.offline.bounds.OptBracket`;
+:meth:`RatioMeasurement.certify` is the one place that interval is
+computed, shared by :func:`measure_ratio` (one instance, one scalar
+simulation — E10's collapsed instances and the examples) and the
+scenario runtime (:mod:`repro.api.runtime`), which measures every
+experiment sweep: seed-batched, mega-batched across cells, with its
+brackets shared across δ cells.  Certification against an adversary
+construction (``cost / adversary cost``, a ratio lower bound) is a
+scenario's ``ratio="adversary"`` mode.
 
 Also here: the Lemma-5 pairing helper (:func:`collapse_to_centers`), which
 replaces each batch by ``r`` copies of its tie-broken center — the
@@ -24,13 +19,11 @@ simplified instances on which the paper's per-step analysis operates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..adversaries.base import AdversarialInstance
 from ..algorithms.base import OnlineAlgorithm
-from ..core.engine import AlgorithmSpec, simulate_batch
 from ..core.instance import MSPInstance
 from ..core.requests import RequestSequence
 from ..core.simulator import simulate
@@ -40,9 +33,6 @@ from ..offline.bounds import OptBracket, bracket_optimum
 __all__ = [
     "RatioMeasurement",
     "measure_ratio",
-    "measure_ratio_batch",
-    "measure_adversarial_ratio",
-    "measure_adversarial_ratio_batch",
     "measures_from_payload",
     "measures_to_payload",
     "collapse_to_centers",
@@ -72,6 +62,19 @@ class RatioMeasurement:
     ratio_upper: float
     algorithm: str = ""
 
+    @classmethod
+    def certify(cls, cost: float, bracket: OptBracket, algorithm: str = "") -> "RatioMeasurement":
+        """Divide an online cost by a certified bracket of the optimum."""
+        cost = float(cost)
+        return cls(
+            cost=cost,
+            opt_lower=bracket.lower,
+            opt_upper=bracket.upper,
+            ratio_lower=cost / max(bracket.upper, 1e-300),
+            ratio_upper=cost / max(bracket.lower, 1e-300),
+            algorithm=algorithm,
+        )
+
     @property
     def ratio(self) -> float:
         """Point estimate: cost over the bracket midpoint."""
@@ -90,57 +93,7 @@ def measure_ratio(
     trace = simulate(instance, algorithm, delta=delta)
     if bracket is None:
         bracket = bracket_optimum(instance, **bracket_kwargs)
-    lower = max(bracket.lower, 1e-300)
-    upper = max(bracket.upper, 1e-300)
-    return RatioMeasurement(
-        cost=trace.total_cost,
-        opt_lower=bracket.lower,
-        opt_upper=bracket.upper,
-        ratio_lower=trace.total_cost / upper,
-        ratio_upper=trace.total_cost / lower,
-        algorithm=algorithm.name,
-    )
-
-
-def measure_ratio_batch(
-    instances: Sequence[MSPInstance],
-    algorithm: AlgorithmSpec,
-    delta: float = 0.0,
-    brackets: Sequence[OptBracket] | None = None,
-    **bracket_kwargs,
-) -> list[RatioMeasurement]:
-    """Batched :func:`measure_ratio`: one engine pass over ``B`` instances.
-
-    All instances are simulated in lock-step through
-    :func:`repro.core.engine.simulate_batch`; the offline bracket is still
-    computed per instance (DP solves do not batch) unless precomputed
-    ``brackets`` are supplied — useful when several algorithms are measured
-    on the same instances.
-
-    Returns one :class:`RatioMeasurement` per instance, in order.
-    """
-    instances = list(instances)
-    if brackets is not None and len(brackets) != len(instances):
-        raise ValueError("need exactly one bracket per instance")
-    batch_trace = simulate_batch(instances, algorithm, delta=delta)
-    costs = batch_trace.total_costs
-    out = []
-    for i, inst in enumerate(instances):
-        bracket = brackets[i] if brackets is not None else bracket_optimum(inst, **bracket_kwargs)
-        lower = max(bracket.lower, 1e-300)
-        upper = max(bracket.upper, 1e-300)
-        cost = float(costs[i])
-        out.append(
-            RatioMeasurement(
-                cost=cost,
-                opt_lower=bracket.lower,
-                opt_upper=bracket.upper,
-                ratio_lower=cost / upper,
-                ratio_upper=cost / lower,
-                algorithm=batch_trace.algorithm,
-            )
-        )
-    return out
+    return RatioMeasurement.certify(trace.total_cost, bracket, algorithm.name)
 
 
 def measures_to_payload(measures: Sequence[RatioMeasurement]) -> dict:
@@ -173,59 +126,6 @@ def measures_from_payload(payload: dict) -> list[RatioMeasurement]:
         )
         for i in range(len(payload["algorithm"]))
     ]
-
-
-def measure_adversarial_ratio(
-    build: Callable[[np.random.Generator], AdversarialInstance],
-    algorithm_factory: Callable[[], OnlineAlgorithm],
-    delta: float,
-    seeds: Sequence[int],
-) -> tuple[float, np.ndarray]:
-    """Expected ratio of an algorithm against a randomized construction.
-
-    Parameters
-    ----------
-    build:
-        Draws one adversarial instance from a seeded generator.
-    algorithm_factory:
-        Fresh algorithm per seed (stateful algorithms must not leak state
-        across draws).
-    delta:
-        Augmentation granted to the online algorithm.
-    seeds:
-        Instance seeds; the expected ratio is their mean.
-
-    Returns
-    -------
-    (mean_ratio, per_seed_ratios)
-    """
-    ratios = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        adv = build(np.random.default_rng(seed))
-        trace = simulate(adv.instance, algorithm_factory(), delta=delta)
-        ratios[i] = adv.ratio_of(trace.total_cost)
-    return float(ratios.mean()), ratios
-
-
-def measure_adversarial_ratio_batch(
-    build: Callable[[np.random.Generator], AdversarialInstance],
-    algorithm: AlgorithmSpec,
-    delta: float,
-    seeds: Sequence[int],
-) -> tuple[float, np.ndarray]:
-    """Batched :func:`measure_adversarial_ratio`.
-
-    Draws one adversarial instance per seed (the construction parameters
-    must give every draw the same length ``T``) and plays all of them in
-    one lock-step engine pass.  ``algorithm`` is an engine spec — registry
-    name, scalar factory, or :class:`~repro.core.engine.VectorizedAlgorithm`
-    — instantiated fresh per lane, so stateful and randomized algorithms
-    behave exactly as in the scalar per-seed loop.
-    """
-    advs = [build(np.random.default_rng(seed)) for seed in seeds]
-    costs = simulate_batch([adv.instance for adv in advs], algorithm, delta=delta).total_costs
-    ratios = np.array([adv.ratio_of(float(c)) for adv, c in zip(advs, costs)])
-    return float(ratios.mean()), ratios
 
 
 def collapse_to_centers(instance: MSPInstance, server_hint: np.ndarray | None = None) -> MSPInstance:

@@ -408,7 +408,6 @@ def _run_adaptive(scenario: Scenario, t0: float) -> RunResult:
 
 
 def _bracket_measurements(
-    scenario: Scenario,
     instances: Sequence[MSPInstance],
     costs: np.ndarray,
     algorithm_name: str,
@@ -418,24 +417,8 @@ def _bracket_measurements(
         brackets = [bracket_optimum(inst) for inst in instances]
     elif len(brackets) != len(instances):
         raise ValueError("need exactly one bracket per instance")
-    out = []
-    # Same interval arithmetic as analysis.ratio.measure_ratio{,_batch},
-    # so API results are interchangeable with the legacy helpers.
-    for i, bracket in enumerate(brackets):
-        lower = max(bracket.lower, 1e-300)
-        upper = max(bracket.upper, 1e-300)
-        cost = float(costs[i])
-        out.append(
-            RatioMeasurement(
-                cost=cost,
-                opt_lower=bracket.lower,
-                opt_upper=bracket.upper,
-                ratio_lower=cost / upper,
-                ratio_upper=cost / lower,
-                algorithm=algorithm_name,
-            )
-        )
-    return out
+    return [RatioMeasurement.certify(cost, bracket, algorithm_name)
+            for cost, bracket in zip(costs, brackets)]
 
 
 def _certify(
@@ -456,7 +439,7 @@ def _certify(
             )
         return np.array([adv.ratio_of(float(c)) for adv, c in zip(adversarials, costs)]), None
     if ratio_mode == "bracket":
-        return None, _bracket_measurements(scenario, instances, costs, algorithm_name, brackets)
+        return None, _bracket_measurements(instances, costs, algorithm_name, brackets)
     return None, None
 
 

@@ -46,7 +46,6 @@ class CellSpec:
     fn: str
     params: Params = ()
     point: Params = ()
-    deps: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", freeze_params(self.params))
@@ -59,7 +58,6 @@ class CellSpec:
             "fn": self.fn,
             "params": thaw_params(self.params),
             "point": thaw_params(self.point),
-            "deps": list(self.deps),
         }
 
     @classmethod
@@ -69,7 +67,6 @@ class CellSpec:
             fn=payload["fn"],
             params=freeze_params(payload.get("params")),
             point=freeze_params(payload.get("point"), sort=False),
-            deps=tuple(payload.get("deps", ())),
         )
 
 
@@ -151,8 +148,7 @@ class ExperimentSpec:
             units.extend(scenario_units(list(self.grid.scenarios), keys=keys,
                                         share_brackets=self.share_brackets))
         for cell in self.cells:
-            units.append(WorkUnit(key=cell.key, fn=cell.fn,
-                                  params=thaw_params(cell.params), deps=cell.deps))
+            units.append(WorkUnit(key=cell.key, fn=cell.fn, params=thaw_params(cell.params)))
         return units
 
     def points(self) -> list[tuple[str, dict[str, Any]]]:

@@ -5,10 +5,9 @@ module is where the engine meets that generality.  A :class:`Metric`
 bundles the operations a simulation needs — ``distance``,
 ``distances_to``, geodesic ``move_towards`` / ``clamp_step``,
 ``interpolate`` — plus their batched ``(B, d)`` counterparts for the
-lock-step engine, and a ``supports_kernels`` capability tag that tells
-:func:`repro.core.engine.simulate_batch` whether the fused
-:mod:`repro.core.kernels` paths may run (they are ℓ2-only; every other
-metric falls back to the reference loop).
+lock-step engine.  The fused :mod:`repro.core.kernels` paths are ℓ2-only:
+:func:`repro.core.engine.simulate_batch` runs them for the Euclidean
+metric alone, and every other metric falls back to the reference loop.
 
 Three families are registered:
 
@@ -289,14 +288,9 @@ class Metric:
     ----------
     name:
         Registry name (``"euclidean"``, ``"l1"``, ``"linf"``, ``"graph"``).
-    supports_kernels:
-        Whether the fused :mod:`repro.core.kernels` step kernels may run
-        under this metric.  Kernels hardcode ℓ2 reductions, so only the
-        Euclidean instance sets this.
     """
 
     name: str = ""
-    supports_kernels: bool = False
 
     # -- scalar core -------------------------------------------------------
 
@@ -358,7 +352,6 @@ class EuclideanMetric(Metric):
     to every pre-``Metric`` code path."""
 
     name = "euclidean"
-    supports_kernels = True
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         return distance(a, b)
@@ -389,8 +382,6 @@ class MinkowskiMetric(Metric):
     norm swapped — same ``reached``/``safe_n`` structure as
     :func:`batched_move_towards`, so scalar and batched rows agree
     bit-for-bit."""
-
-    supports_kernels = False
 
     def __init__(self, p: float) -> None:
         if p not in (1, np.inf):
@@ -491,7 +482,6 @@ class GraphMetric(Metric):
     """
 
     name = "graph"
-    supports_kernels = False
 
     def __init__(self, network, name: str = "graph") -> None:
         self.network = network

@@ -35,11 +35,12 @@ from .orchestrator import ExecutionReport, SweepSpec, execute, execute_spec
 from .runner import ExperimentResult
 
 #: Every experiment declared as an orchestrator sweep (id → spec builder).
-#: E1/E2/E3/E6/E7/E12 build their cells as :class:`repro.api.Scenario`
-#: work units; E4/E8/E9/E10/E11/E14/E15/E16 are declarative
-#: :class:`repro.api.ExperimentSpec` grids (``build_spec`` lowers them);
-#: the earlier migrations (E5/E13/E17) still use hand-written cell
-#: functions where they share offline brackets.
+#: E1–E8, E12, E13 and E17 measure their certified ratios in
+#: :class:`repro.api.Scenario` cells from
+#: :func:`repro.api.runtime.scenario_units` (shared brackets factored out),
+#: next to any leftover function cells and a module ``finalize``;
+#: E9/E10/E11/E14/E15/E16 are declarative :class:`repro.api.ExperimentSpec`
+#: grids of function cells (``build_spec`` lowers them).
 SPECS: Dict[str, Callable[[float, int], SweepSpec]] = {
     "E1": e1_thm1.build_spec,
     "E2": e2_thm2.build_spec,

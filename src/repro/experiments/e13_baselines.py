@@ -16,10 +16,11 @@ sit near/below the classical constants (7, 3, 3).
 Part C contrasts Double Coverage and greedy on the k-server line against
 the configuration DP (DC ≤ k-competitive, greedy unbounded).
 
-Declared as an orchestrator sweep: the suite's DP brackets are solved in
-one shared cell, each algorithm's lock-step batched run is its own cell
-depending on it, and parts B/C are independent cells (B stays one cell —
-both networks draw from a single RNG stream).
+Declared as an orchestrator sweep: Part A is one generic scenario cell
+per (suite source, algorithm) (:func:`repro.api.runtime.scenario_units`
+factors one shared DP-bracket cell per source), and parts B/C are
+function cells (B stays one cell — both networks draw from a single RNG
+stream).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..algorithms import compatible_algorithms
-from ..analysis import measure_ratio_batch
-from ..offline import bracket_optimum
+from ..api.runtime import scenario_units
+from ..api.scenario import Scenario
 from ..kserver import double_coverage_line, greedy_kserver_line, offline_kserver_line
 from ..pagemigration import (
     CoinFlipGraph,
@@ -43,7 +44,7 @@ from ..pagemigration import (
     random_tree,
     simulate_page_migration,
 )
-from ..workloads import standard_suite
+from ..workloads import SUITE_NAMES, suite_entry
 from .orchestrator import SweepSpec, WorkUnit
 from .runner import ExperimentResult, scaled
 
@@ -53,35 +54,7 @@ _MODULE = "repro.experiments.e13_baselines"
 _DELTA = 0.5
 
 
-def _suite_instances(T: int, seed: int):
-    suite = standard_suite(T=T, dim=1, D=4.0, m=1.0)
-    wl_names = list(suite)
-    instances = [suite[n].generate(np.random.default_rng(seed)) for n in wl_names]
-    return wl_names, instances
-
-
 # -- cells -----------------------------------------------------------------
-
-
-def cell_suite_brackets(T: int, seed: int) -> dict:
-    """Per-instance DP brackets, shared by every algorithm's cell."""
-    wl_names, instances = _suite_instances(T, seed)
-    return {
-        "wl_names": wl_names,
-        "brackets": [bracket_optimum(inst).as_payload() for inst in instances],
-    }
-
-
-def cell_euclidean(algorithm: str, T: int, seed: int, deps: Mapping[str, Any]) -> dict:
-    from ..offline.bounds import OptBracket
-
-    wl_names, instances = _suite_instances(T, seed)
-    brackets = [OptBracket.from_payload(p) for p in deps["suite-brackets"]["brackets"]]
-    measures = measure_ratio_batch(instances, algorithm, delta=_DELTA, brackets=brackets)
-    return {
-        "wl_names": wl_names,
-        "ratios": np.array([m.ratio_upper for m in measures], dtype=np.float64),
-    }
 
 
 def cell_page_migration(T: int, seed: int, D_pm: float) -> dict:
@@ -122,20 +95,29 @@ def _algorithms() -> list[str]:
     return compatible_algorithms(dim=1, moving_client=False)
 
 
+def _scenarios(T: int, seed: int) -> tuple[list[str], list[Scenario]]:
+    """Part A: every compatible algorithm on every distinct 1-D suite source.
+
+    In one dimension the suite stands straight ``drift`` in for
+    ``drift-rotating`` (:func:`~repro.workloads.suite_entry`), so that
+    member reads drift's cells instead of duplicating them.
+    """
+    keys: list[str] = []
+    scenarios: list[Scenario] = []
+    for source, extra in dict(suite_entry(name, 1) for name in SUITE_NAMES).items():
+        for alg_name in _algorithms():
+            key = f"euclidean/{source}/{alg_name}"
+            keys.append(key)
+            scenarios.append(Scenario.workload(
+                source, alg_name, params={"T": T, "dim": 1, "D": 4.0, "m": 1.0, **extra},
+                seeds=(seed,), delta=_DELTA, ratio="bracket", name=key,
+            ))
+    return keys, scenarios
+
+
 def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
-    T = scaled(300, scale, minimum=100)
-    units: list[WorkUnit] = [WorkUnit(
-        key="suite-brackets",
-        fn=f"{_MODULE}:cell_suite_brackets",
-        params={"T": T, "seed": seed},
-    )]
-    for alg_name in _algorithms():
-        units.append(WorkUnit(
-            key=f"euclidean/{alg_name}",
-            fn=f"{_MODULE}:cell_euclidean",
-            params={"algorithm": alg_name, "T": T, "seed": seed},
-            deps=("suite-brackets",),
-        ))
+    keys, scenarios = _scenarios(scaled(300, scale, minimum=100), seed)
+    units = list(scenario_units(scenarios, keys=keys))
     units.append(WorkUnit(
         key="page-migration",
         fn=f"{_MODULE}:cell_page_migration",
@@ -157,17 +139,14 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
 
     # -- Part A: Euclidean algorithms on the 1-D suite ----------------------
     algs = _algorithms()
-    wl_names = results[f"euclidean/{algs[0]}"]["wl_names"]
-    ratio_table = {}
-    for alg_name in algs:
-        cell = results[f"euclidean/{alg_name}"]
-        for wl_name, ratio in zip(cell["wl_names"], cell["ratios"]):
-            ratio_table[(wl_name, alg_name)] = float(ratio)
-    for wl_name in wl_names:
-        for alg_name in algs:
-            rows.append(["euclidean:" + wl_name, alg_name, ratio_table[(wl_name, alg_name)]])
-    mtc_scores = {wl_name: ratio_table[(wl_name, "mtc")] for wl_name in wl_names}
-    worst_mtc = max(mtc_scores.values())
+    ratio_table = {
+        (wl_name, alg_name): float(results[f"euclidean/{suite_entry(wl_name, 1)[0]}/{alg_name}"]
+                                   ["measures"]["ratio_upper"][0])
+        for wl_name in SUITE_NAMES for alg_name in algs
+    }
+    for (wl_name, alg_name), ratio in ratio_table.items():
+        rows.append(["euclidean:" + wl_name, alg_name, ratio])
+    worst_mtc = max(ratio_table[(wl_name, "mtc")] for wl_name in SUITE_NAMES)
     notes.append(f"MtC's worst certified ratio across the suite: {worst_mtc:.2f}")
     if worst_mtc > 25.0:
         ok = False

@@ -10,9 +10,11 @@ experiment sweeps the dimension:
   is dimension-independent (the construction lives on a line through the
   space), so measured ratios must match across d.
 
-Declared as an orchestrator sweep: one walk cell and one Thm-1 cell per
-dimension, all independent, so the dimension sweep fans out across
-workers (the high-d convex bracket solves dominate the cost).
+Declared as an orchestrator sweep of generic scenario cells
+(:func:`repro.api.runtime.scenario_units`): one ``random-walk`` and one
+``thm1`` scenario per dimension, all independent, so the dimension sweep
+fans out across workers (the high-d convex bracket solves dominate the
+cost).
 """
 
 from __future__ import annotations
@@ -21,16 +23,10 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..adversaries import build_thm1
-from ..analysis import (
-    measure_adversarial_ratio_batch,
-    measure_ratio_batch,
-    measures_from_payload,
-    measures_to_payload,
-)
-from ..workloads import RandomWalkWorkload
-from .orchestrator import SweepSpec, WorkUnit
-from .runner import ExperimentResult, scaled, seeded_instances, sweep_seeds
+from ..api.runtime import scenario_units
+from ..api.scenario import Scenario
+from .orchestrator import SweepSpec
+from .runner import ExperimentResult, scaled, sweep_seeds
 
 __all__ = ["build_spec", "finalize"]
 
@@ -39,45 +35,32 @@ DIMS = [1, 2, 3, 5, 8]
 _DELTA = 0.5
 
 
-# -- cells -----------------------------------------------------------------
-
-
-def cell_walk(dim: int, T: int, n_seeds: int, seed: int) -> dict:
-    wl = RandomWalkWorkload(T, dim=dim, D=2.0, m=1.0, sigma=0.3,
-                            spread=0.4, requests_per_step=4)
-    measures = measure_ratio_batch(seeded_instances(wl, n_seeds, seed), "mtc",
-                                   delta=_DELTA)
-    return {"measures": measures_to_payload(measures)}
-
-
-def cell_thm1(dim: int, n_seeds: int, seed: int) -> dict:
-    mean_adv, per_seed = measure_adversarial_ratio_batch(
-        lambda rng: build_thm1(1024, dim=dim, rng=rng), "mtc", 0.0,
-        sweep_seeds(seed, n_seeds),
-    )
-    return {"mean": mean_adv, "per_seed": per_seed}
-
-
-# -- spec ------------------------------------------------------------------
+def _scenarios(scale: float, seed: int) -> tuple[list[str], list[Scenario]]:
+    """Per dimension: MtC on a certified random walk and on Thm 1's construction."""
+    T = scaled(200, scale, minimum=60)
+    seeds = sweep_seeds(seed, scaled(3, scale, minimum=2))
+    keys: list[str] = []
+    scenarios: list[Scenario] = []
+    for dim in DIMS:
+        walk, thm1 = f"walk/dim={dim}", f"thm1/dim={dim}"
+        keys += [walk, thm1]
+        scenarios += [
+            Scenario.workload(
+                "random-walk", "mtc",
+                params={"T": T, "dim": dim, "D": 2.0, "m": 1.0, "sigma": 0.3,
+                        "spread": 0.4, "requests_per_step": 4},
+                seeds=seeds, delta=_DELTA, ratio="bracket", name=walk,
+            ),
+            Scenario.adversary("thm1", "mtc", params={"T": 1024, "dim": dim},
+                               seeds=seeds, name=thm1),
+        ]
+    return keys, scenarios
 
 
 def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
-    T = scaled(200, scale, minimum=60)
-    n_seeds = scaled(3, scale, minimum=2)
-    units: list[WorkUnit] = []
-    for dim in DIMS:
-        units.append(WorkUnit(
-            key=f"walk/dim={dim}",
-            fn=f"{_MODULE}:cell_walk",
-            params={"dim": dim, "T": T, "n_seeds": n_seeds, "seed": seed},
-        ))
-        units.append(WorkUnit(
-            key=f"thm1/dim={dim}",
-            fn=f"{_MODULE}:cell_thm1",
-            params={"dim": dim, "n_seeds": n_seeds, "seed": seed},
-        ))
-    return SweepSpec("E17", tuple(units), finalize=f"{_MODULE}:finalize",
-                     scale=scale, seed=seed)
+    keys, scenarios = _scenarios(scale, seed)
+    return SweepSpec("E17", tuple(scenario_units(scenarios, keys=keys)),
+                     finalize=f"{_MODULE}:finalize", scale=scale, seed=seed)
 
 
 def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
@@ -85,9 +68,8 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
     walk_ratios = {}
     thm1_ratios = {}
     for dim in DIMS:
-        walk_measures = measures_from_payload(results[f"walk/dim={dim}"]["measures"])
-        walk_ratios[dim] = float(np.mean([m.ratio_upper for m in walk_measures]))
-        thm1_ratios[dim] = results[f"thm1/dim={dim}"]["mean"]
+        walk_ratios[dim] = float(np.mean(results[f"walk/dim={dim}"]["measures"]["ratio_upper"]))
+        thm1_ratios[dim] = float(np.mean(results[f"thm1/dim={dim}"]["ratios"]))
         rows.append([dim, walk_ratios[dim], thm1_ratios[dim]])
 
     walk_spread = max(walk_ratios.values()) / min(walk_ratios.values())

@@ -25,7 +25,7 @@ from ..api.runtime import scenario_units
 from ..api.scenario import Scenario
 from ..offline import bracket_optimum
 from ..workloads import RandomWalkWorkload
-from .orchestrator import SweepSpec, WorkUnit, grid
+from .orchestrator import SweepSpec, WorkUnit
 from .runner import ExperimentResult, scaled, sweep_seeds
 
 __all__ = ["build_spec", "finalize"]
@@ -67,15 +67,16 @@ def _scenarios(scale: float, seed: int) -> tuple[list[str], list[Scenario]]:
     seeds = sweep_seeds(seed, n_seeds)
     keys: list[str] = []
     scenarios: list[Scenario] = []
-    for p in grid(delta=DELTAS, workload=WORKLOADS):
-        source, extra = _SOURCES[p["workload"]]
-        key = f"benign/{p['workload']}/delta={p['delta']}"
-        keys.append(key)
-        scenarios.append(Scenario.workload(
-            source, "mtc",
-            params={"T": T, "dim": 2, "D": 2.0, "m": 1.0, **extra},
-            seeds=seeds, delta=p["delta"], ratio="bracket", name=key,
-        ))
+    for delta in DELTAS:
+        for workload in WORKLOADS:
+            source, extra = _SOURCES[workload]
+            key = f"benign/{workload}/delta={delta}"
+            keys.append(key)
+            scenarios.append(Scenario.workload(
+                source, "mtc",
+                params={"T": T, "dim": 2, "D": 2.0, "m": 1.0, **extra},
+                seeds=seeds, delta=delta, ratio="bracket", name=key,
+            ))
     for delta in DELTAS:
         key = f"adversarial/delta={delta}"
         keys.append(key)

@@ -10,12 +10,13 @@ Runs the moving-client MtC on random-waypoint patrol agents for a sweep of
 OPT is bracketed by the exact 1-D DP (agents patrol a line here so the
 certificate is tight); a 2-D spot row uses the convex bracket.
 
-Declared as an :class:`~repro.api.ExperimentSpec` with hand-built
-function cells — one per (regime, T) plus the 2-D spot check, all
-independent, so the T sweep parallelizes across workers.  The cells take
-pre-scaled horizons (``T_wl``/``T_steps``) rather than axis values, which
-:func:`~repro.api.cell_grid` would forward verbatim; the
-``e8/moving-client`` reducer folds the payloads into the table.
+Declared as an orchestrator sweep: the Thm-8 contrast is one generic
+``thm8`` scenario cell per T (:func:`repro.api.runtime.scenario_units`,
+keyed by the unscaled T — at small scales two T values share one scaled
+horizon, and with it one content address, so they cannot be a
+``Scenario.grid``).  The patrol rows divide by the DP bracket's lower end
+on a finer grid than the scenario runtime's default, and stay function
+cells together with the 2-D spot check.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..adversaries import build_thm8
 from ..algorithms import MovingClientMtC
-from ..analysis import measure_adversarial_ratio_batch
-from ..api import CellSpec, ExperimentSpec, Reduction, register_reducer
+from ..api.runtime import scenario_units
+from ..api.scenario import Scenario
 from ..core.engine import simulate_batch
 from ..core.simulator import simulate
 from ..offline import bracket_optimum
 from ..workloads import PatrolAgentWorkload
-from .runner import scaled, seeded_instances, sweep_seeds
+from .orchestrator import SweepSpec, WorkUnit
+from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "spec"]
+__all__ = ["build_spec", "finalize"]
 
 _MODULE = "repro.experiments.e8_moving_client_mtc"
 TS = [200, 400, 800]
@@ -47,22 +48,14 @@ D = 4.0
 def cell_patrol(T_wl: int, n_seeds: int, seed: int) -> dict:
     """The O(1) regime: equal speeds, certified against the 1-D DP."""
     wl = PatrolAgentWorkload(T_wl, dim=1, D=D, m_server=1.0, m_agent=1.0, arena=20.0)
-    insts = [mc.as_msp() for mc in seeded_instances(wl, n_seeds, seed)]
+    insts = [wl.generate(np.random.default_rng(s)).as_msp()
+             for s in sweep_seeds(seed, n_seeds)]
     costs = simulate_batch(insts, "mtc-moving-client", delta=0.0).total_costs
     ratios = [
         float(cost) / max(bracket_optimum(inst, grid_size=768).lower, 1e-12)
         for inst, cost in zip(insts, costs)
     ]
     return {"ratios": np.array(ratios, dtype=np.float64)}
-
-
-def cell_thm8(T_steps: int, n_seeds: int, seed: int) -> dict:
-    """Contrast: the faster-agent adversarial regime diverges."""
-    mean_adv, per_seed = measure_adversarial_ratio_batch(
-        lambda rng: build_thm8(T_steps, epsilon=1.0, rng=rng),
-        "mtc-moving-client", 0.0, sweep_seeds(seed, n_seeds),
-    )
-    return {"mean": mean_adv, "per_seed": per_seed}
 
 
 def cell_spot_2d(T_wl: int, seed: int) -> dict:
@@ -75,22 +68,46 @@ def cell_spot_2d(T_wl: int, seed: int) -> dict:
     return {"ratio": tr2.total_cost / max(br2.lower, 1e-12), "T": wl2.T}
 
 
-# -- reducer ---------------------------------------------------------------
+# -- spec ------------------------------------------------------------------
 
 
-@register_reducer("e8/moving-client",
-                  "patrol-vs-thm8 ratio table + flatness-in-T criterion")
-def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
-            seed: int) -> Reduction:
+def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
+    n_seeds = scaled(4, scale, minimum=2)
+    units: list[WorkUnit] = []
+    for T in TS:
+        units.append(WorkUnit(
+            key=f"patrol/T={T}",
+            fn=f"{_MODULE}:cell_patrol",
+            params={"T_wl": scaled(T, scale, minimum=50), "n_seeds": n_seeds, "seed": seed},
+        ))
+    keys = [f"thm8/T={T}" for T in TS]
+    units.extend(scenario_units([
+        Scenario.adversary(
+            "thm8", "mtc-moving-client",
+            params={"T": scaled(T, scale, minimum=64) * 4, "epsilon": 1.0},
+            seeds=sweep_seeds(seed, n_seeds), name=key,
+        )
+        for T, key in zip(TS, keys)
+    ], keys=keys))
+    units.append(WorkUnit(
+        key="spot-2d",
+        fn=f"{_MODULE}:cell_spot_2d",
+        params={"T_wl": scaled(200, scale, minimum=50), "seed": seed},
+    ))
+    return SweepSpec("E8", tuple(units), finalize=f"{_MODULE}:finalize",
+                     scale=scale, seed=seed)
+
+
+def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
     rows = []
     flat_ratios = []
     for T in TS:
-        mean = float(np.mean(cells[f"patrol/T={T}"]["ratios"]))
+        mean = float(np.mean(results[f"patrol/T={T}"]["ratios"]))
         rows.append(["patrol (ms=ma)", T, mean])
         flat_ratios.append(mean)
     for T in TS:
-        rows.append(["thm8 (ma=2ms)", T * 4, cells[f"thm8/T={T}"]["mean"]])
-    spot = cells["spot-2d"]
+        rows.append(["thm8 (ma=2ms)", T * 4, float(np.mean(results[f"thm8/T={T}"]["ratios"]))])
+    spot = results["spot-2d"]
     rows.append(["patrol-2d (ms=ma)", spot["T"], spot["ratio"]])
 
     spread = max(flat_ratios) / max(min(flat_ratios), 1e-12)
@@ -100,44 +117,11 @@ def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
         f"flatness of the ms=ma rows: max/min ratio across T = {spread:.2f}",
     ]
     ok = spread <= 2.0 and max(flat_ratios) <= 40.0
-    return Reduction(rows=rows, notes=notes, passed=ok)
-
-
-# -- spec ------------------------------------------------------------------
-
-
-def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
-    n_seeds = scaled(4, scale, minimum=2)
-    cells: list[CellSpec] = []
-    for T in TS:
-        cells.append(CellSpec(
-            key=f"patrol/T={T}",
-            fn=f"{_MODULE}:cell_patrol",
-            params={"T_wl": scaled(T, scale, minimum=50), "n_seeds": n_seeds, "seed": seed},
-            point={"T": T},
-        ))
-    for T in TS:
-        cells.append(CellSpec(
-            key=f"thm8/T={T}",
-            fn=f"{_MODULE}:cell_thm8",
-            params={"T_steps": scaled(T, scale, minimum=64) * 4, "n_seeds": n_seeds,
-                    "seed": seed},
-            point={"T": T},
-        ))
-    cells.append(CellSpec(
-        key="spot-2d",
-        fn=f"{_MODULE}:cell_spot_2d",
-        params={"T_wl": scaled(200, scale, minimum=50), "seed": seed},
-    ))
-    return ExperimentSpec(
+    return ExperimentResult(
         experiment_id="E8",
         title="Thm 10: moving-client MtC is O(1)-competitive when the server is as fast",
         headers=["regime", "T", "certified ratio"],
-        reducer="e8/moving-client",
-        cells=tuple(cells),
-        scale=scale, seed=seed,
+        rows=rows,
+        notes=notes,
+        passed=ok,
     )
-
-
-def build_spec(scale: float = 1.0, seed: int = 0):
-    return spec(scale, seed).to_sweep()

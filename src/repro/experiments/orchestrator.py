@@ -34,7 +34,6 @@ relocatable across processes and cache entries exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -49,7 +48,6 @@ __all__ = [
     "WorkUnit",
     "execute",
     "execute_spec",
-    "grid",
 ]
 
 
@@ -139,16 +137,6 @@ class ExecutionReport:
     def slowest(self, n: int = 3) -> list[tuple[str, float]]:
         """The ``n`` slowest computed cells, slowest first."""
         return sorted(self.timings.items(), key=lambda kv: kv[1], reverse=True)[:n]
-
-
-def grid(**axes: Sequence[Any]) -> list[dict[str, Any]]:
-    """Cartesian product of named axes, in declaration order.
-
-    ``grid(delta=[1.0, 0.5], workload=["drift"])`` →
-    ``[{"delta": 1.0, "workload": "drift"}, {"delta": 0.5, ...}]``.
-    """
-    names = list(axes)
-    return [dict(zip(names, values)) for values in itertools.product(*axes.values())]
 
 
 def _toposort(units: Sequence[tuple[str, WorkUnit]]) -> list[tuple[str, WorkUnit]]:

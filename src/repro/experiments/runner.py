@@ -1,17 +1,13 @@
 """Experiment harness plumbing.
 
-Every experiment module exposes ``run(scale=1.0, seed=0) -> ExperimentResult``.
-``scale`` shrinks/grows the workload sizes so the same code serves both the
-benchmark suite (fast, ``scale<=1``) and full CLI runs; ``seed`` makes the
-whole experiment deterministic.
-
-Seed sweeps dispatch through the batched engine: :func:`seeded_instances`
-materializes the per-seed instances of a workload (same derivation
-``default_rng(seed * stride + s)`` the scalar loops used) and the
-experiments hand the whole list to
-:func:`repro.analysis.ratio.measure_ratio_batch` /
-:func:`repro.core.engine.simulate_batch`, so one lock-step engine pass
-replaces ``n_seeds`` Python simulation loops.
+Every experiment module declares its sweep as ``build_spec(scale, seed)
+-> SweepSpec`` (see :mod:`repro.experiments.orchestrator`): generic
+scenario cells (:func:`repro.api.runtime.scenario_units`), any
+experiment-specific function cells, and a ``finalize`` that folds the
+cell payloads into an :class:`ExperimentResult`.  ``scale`` shrinks/grows
+the workload sizes so the same code serves both quick checks
+(``scale<=1``) and full CLI runs; ``seed`` makes the whole experiment
+deterministic, with per-cell seed sweeps derived by :func:`sweep_seeds`.
 
 Results carry the rendered table plus free-form notes in which each
 experiment states the *reproduction criterion* (the shape the paper
@@ -22,18 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
+from typing import Any, Sequence
 
 from ..analysis.tables import render_table, to_csv
 from ..core.store import load_payload, save_payload
 
-if TYPE_CHECKING:  # pragma: no cover - import only for type hints
-    from ..core.instance import MSPInstance
-    from ..workloads.base import WorkloadGenerator
-
-__all__ = ["ExperimentResult", "scaled", "seeded_instances", "sweep_seeds"]
+__all__ = ["ExperimentResult", "scaled", "sweep_seeds"]
 
 
 @dataclass
@@ -119,27 +109,8 @@ def scaled(value: int, scale: float, minimum: int = 1) -> int:
 def sweep_seeds(seed: int, n: int, stride: int = 100) -> list[int]:
     """The canonical per-cell seed derivation: ``seed * stride + s``.
 
-    Every experiment routes its seed sweeps through this helper (directly
-    or via :func:`seeded_instances`), so the derivation lives in exactly
-    one place and a sweep's seed list doubles as part of its work-unit
-    identity in the orchestrator's results store.
+    Every experiment routes its seed sweeps through this helper, so the
+    derivation lives in exactly one place and a sweep's seed list doubles
+    as part of its work-unit identity in the orchestrator's results store.
     """
     return [seed * stride + s for s in range(n)]
-
-
-def seeded_instances(
-    workload: "WorkloadGenerator",
-    n_seeds: int,
-    seed: int,
-    stride: int = 100,
-) -> list["MSPInstance"]:
-    """One instance per sweep seed, ready for a lock-step batched run.
-
-    Reproduces the experiments' historical seed derivation
-    (:func:`sweep_seeds`), so a batched sweep sees exactly the instances
-    the scalar per-seed loop generated.
-    """
-    return [
-        workload.generate(np.random.default_rng(s))
-        for s in sweep_seeds(seed, n_seeds, stride)
-    ]

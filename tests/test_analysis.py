@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.adversaries import build_thm1
 from repro.algorithms import MoveToCenter, StaticServer
 from repro.analysis import (
     bootstrap_ci,
@@ -11,7 +10,7 @@ from repro.analysis import (
     figure2_worst_case,
     fit_linear,
     fit_power_law,
-    measure_adversarial_ratio,
+    RatioMeasurement,
     measure_ratio,
     potential_value,
     render_table,
@@ -20,8 +19,11 @@ from repro.analysis import (
     to_csv,
     verify_potential_argument,
 )
+from repro.api import Scenario, run
+from repro.api.runtime import build_instances
 from repro.core import MSPInstance, RequestSequence, simulate
-from repro.offline import solve_line
+from repro.offline import bracket_optimum, solve_line
+from repro.offline.bounds import OptBracket
 
 
 class TestMeasureRatio:
@@ -50,16 +52,37 @@ class TestMeasureRatio:
         assert m_static.ratio_upper > m_mtc.ratio_upper
 
 
+class TestCertify:
+    def test_divides_cost_by_bracket_ends(self):
+        br = OptBracket(lower=2.0, upper=4.0, method="convex", positions=np.zeros((1, 1)))
+        meas = RatioMeasurement.certify(8, br, "mtc")
+        assert meas == RatioMeasurement(cost=8.0, opt_lower=2.0, opt_upper=4.0,
+                                        ratio_lower=2.0, ratio_upper=4.0, algorithm="mtc")
+        assert isinstance(meas.cost, float)
+
+    def test_zero_lower_bound_stays_finite(self):
+        br = OptBracket(lower=0.0, upper=1.0, method="dp-line", positions=np.zeros((1, 1)))
+        meas = RatioMeasurement.certify(1.0, br)
+        assert np.isfinite(meas.ratio_upper) and meas.ratio_upper > 1e299
+        assert meas.ratio_lower == 1.0
+
+    def test_scenario_run_matches_measure_ratio(self):
+        """Both callers of ``certify`` give the same per-seed interval."""
+        scenario = Scenario.workload("random-walk", "mtc", params={"T": 24},
+                                     seeds=[1, 2, 3], delta=0.5, ratio="bracket")
+        result = run(scenario)
+        instances, _ = build_instances(scenario)
+        for inst, got in zip(instances, result.measurements, strict=True):
+            want = measure_ratio(inst, MoveToCenter(), delta=0.5, bracket=bracket_optimum(inst))
+            assert (got.cost, got.opt_lower, got.opt_upper, got.ratio_lower, got.ratio_upper) == (
+                want.cost, want.opt_lower, want.opt_upper, want.ratio_lower, want.ratio_upper)
+
+
 class TestAdversarialRatio:
     def test_mean_and_per_seed(self):
-        mean, per_seed = measure_adversarial_ratio(
-            lambda rng: build_thm1(64, rng=rng),
-            MoveToCenter,
-            delta=0.0,
-            seeds=[1, 2, 3],
-        )
-        assert per_seed.shape == (3,)
-        assert mean == pytest.approx(per_seed.mean())
+        result = run(Scenario.adversary("thm1", "mtc", params={"T": 64}, seeds=[1, 2, 3]))
+        assert result.ratios.shape == (3,)
+        assert result.mean_ratio == pytest.approx(result.ratios.mean())
 
 
 class TestCollapseToCenters:

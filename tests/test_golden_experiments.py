@@ -1,13 +1,13 @@
 """Golden-table parity for the migrated experiments.
 
-``tests/data/golden_migrated.json`` was captured from the pre-migration
-code at ``scale=0.15, seed=1``, always *before* the corresponding
-refactor landed: the hand-rolled per-seed loops of E1, E2, E3, E6, E7 and
-E12 (PR 2 state, migrated to scenario cells in PR 3), and of E9, E10,
-E11, E14, E15 and E16 (PR 3 state, migrated to declarative
-``ExperimentSpec`` grids in PR 4), and the shared-bracket sweeps of E4
-and E8 (PR 9 state, migrated to ``ExperimentSpec`` function cells in
-PR 10).  The migrated experiments must
+``tests/data/golden_migrated.json`` holds each experiment's table at
+``scale=0.15, seed=1``, always captured *before* the refactor that moved
+the experiment onto its current cells landed: the hand-rolled per-seed
+loops of E1, E2, E3, E6, E7 and E12 (moved to scenario cells), of E9,
+E10, E11, E14, E15 and E16 (moved to declarative ``ExperimentSpec``
+grids), of the shared-bracket sweeps of E4 and E8, and of E13's
+hand-wired bracket and measurement cells (E4, E8 and E13 now run their
+certified ratios as scenario cells).  The migrated experiments must
 reproduce the captured tables *exactly* (every float rendered at 10
 digits, every note string), which is the acceptance criterion for each
 migration.
@@ -23,7 +23,7 @@ from repro.experiments import EXPERIMENTS, SPECS
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_migrated.json"
 MIGRATED = ["E1", "E2", "E3", "E6", "E7", "E12",
             "E9", "E10", "E11", "E14", "E15", "E16",
-            "E4", "E8"]
+            "E4", "E8", "E13"]
 
 with GOLDEN_PATH.open() as fh:
     GOLDEN = json.load(fh)

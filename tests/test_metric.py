@@ -22,7 +22,6 @@ from repro.core import metric as metric_mod
 from repro.core.metric import (
     EuclideanMetric,
     GraphMetric,
-    METRICS,
     Metric,
     MinkowskiMetric,
     available_metrics,
@@ -31,7 +30,7 @@ from repro.core.metric import (
     register_metric,
 )
 from repro.serve.session import SessionSpec
-from repro.workloads.graphnet import road_network, topology_metric
+from repro.workloads.graphnet import topology_metric
 
 NORMED = ["euclidean", "l1", "linf"]
 
@@ -74,12 +73,6 @@ class TestRegistry:
     def test_register_rejects_duplicates(self):
         with pytest.raises(KeyError, match="already registered"):
             register_metric("euclidean", EuclideanMetric)
-
-    def test_kernel_capability_tags(self):
-        assert get_metric("euclidean").supports_kernels
-        assert not get_metric("l1").supports_kernels
-        assert not get_metric("linf").supports_kernels
-        assert not get_metric("graph").supports_kernels
 
     def test_minkowski_rejects_other_p(self):
         with pytest.raises(ValueError, match="only l1 and linf"):

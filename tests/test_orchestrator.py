@@ -17,7 +17,6 @@ from repro.experiments.orchestrator import (
     WorkUnit,
     execute,
     execute_spec,
-    grid,
 )
 from repro.experiments.runner import ExperimentResult, sweep_seeds
 
@@ -70,18 +69,6 @@ def _spec(workdir: str, values=(1.0, 2.0, 3.0)) -> SweepSpec:
                               {"key": f"base/{v}", "workdir": workdir},
                               deps=(f"base/{v}",)))
     return SweepSpec("EX", tuple(units), f"{_MODULE}:finalize_sum")
-
-
-class TestGrid:
-    def test_product_in_declaration_order(self):
-        cells = grid(a=[1, 2], b=["x", "y"])
-        assert cells == [
-            {"a": 1, "b": "x"}, {"a": 1, "b": "y"},
-            {"a": 2, "b": "x"}, {"a": 2, "b": "y"},
-        ]
-
-    def test_single_axis(self):
-        assert grid(d=[0.5]) == [{"d": 0.5}]
 
 
 class TestExecuteInline:
