@@ -156,30 +156,6 @@ class AlgorithmInfo:
         value = model.value if isinstance(model, CostModel) else str(model)
         return value in self.cost_models
 
-    @property
-    def vectorized(self) -> bool:
-        """Whether a batched form (a fused kernel or coin-flip's loop) is registered.
-
-        The scenario dispatcher (:func:`repro.api.run`) uses this to pick
-        the lock-step engine; algorithms without an entry still run
-        batched through the scalar adapter, bit-identically.
-        """
-        from .vectorized import VECTORIZED  # lazy: vectorized imports this module
-
-        return self.name in VECTORIZED
-
-    @property
-    def kernel(self) -> bool:
-        """Whether a fused step kernel is bound to this registry name.
-
-        The engine then fuses decide/clamp/validate/accounting into
-        block-wise passes over packed ℓ2 request stacks (bit-identical to
-        the scalar rules; see :mod:`repro.core.kernels`).
-        """
-        from ..core.kernels import kernel_for
-
-        return kernel_for(self.name) is not None
-
 
 def algorithm_info(name: str) -> AlgorithmInfo:
     """Factory plus capabilities for one registered name."""

@@ -15,9 +15,9 @@ A :class:`Scenario` names its request source (workload or adversary
 registry entry + params), its algorithm (registry entry + params), the
 seed sweep, augmentation, certification mode and the metric space the
 run happens in (``metric="euclidean"|"l1"|"linf"|"graph"``, see
-:mod:`repro.core.metric`); :func:`run` dispatches
-to the batched lock-step engine or the scalar simulator — bit-identical
-either way — and returns a :class:`RunResult`.  Scenarios serialize to
+:mod:`repro.core.metric`); :func:`run` plays it on the batched
+lock-step engine (``engine="scalar"`` picks the reference simulator
+loop — bit-identical either way) and returns a :class:`RunResult`.  Scenarios serialize to
 plain JSON (:meth:`Scenario.to_dict`) and carry a content address
 (:meth:`Scenario.digest`) in the persistent results store, shared with
 the experiment orchestrator's scenario cells.

@@ -1,11 +1,14 @@
-"""Scenario execution: one ``run()`` over both engines.
+"""Scenario execution: one executor for every entry point.
 
 :func:`run` takes a :class:`~repro.api.scenario.Scenario`, materialises
 its instances from the workload/adversary registries, validates the
-algorithm's capability metadata against the source, dispatches to the
-batched lock-step engine (when the algorithm's registry entry has a
-batched form) or the scalar simulator (bit-identical fallback), certifies ratios as requested, and returns a
-:class:`RunResult`.
+algorithm's capability metadata against the source, plays the rounds on
+the batched lock-step engine (:func:`~repro.core.engine.simulate_batch`,
+which picks a fused kernel, coin-flip's batched loop or the scalar
+adapter per algorithm), certifies ratios as requested, and returns a
+:class:`RunResult`.  ``engine="scalar"`` instead plays the reference
+:func:`~repro.core.simulator.simulate` loop, bit-identically; adaptive
+adversaries play their game move by move.
 
 :func:`run_many` runs a list of scenarios, sharing instance
 materialisation and offline brackets across scenarios that differ only
@@ -18,15 +21,14 @@ digest.
 that declare their sweeps as scenarios get content-addressed caching and
 process fan-out without any experiment-specific cell code.
 
-Both entry points *mega-batch*: scenario cells that run on the batched
-engine under the same algorithm and instance shape — differing only in
-seed, source, δ or cost model — are packed into one wide
-:func:`~repro.core.engine.simulate_batch` call and split back per cell
-(:func:`_execute_scenarios`).  Every lane computes bit-identically to its
-standalone run (the engine's arithmetic is per-lane), so each cell keeps
-its standalone store digest, payload and cache address; ``--no-fuse``
-(:func:`repro.core.kernels.set_fusion`) disables the packing together
-with the fused kernels.
+All of them go through :func:`_execute_scenarios`, which *mega-batches*:
+cells under the same algorithm, variant parameters and instance shape —
+differing only in seed, source, δ or cost model — are packed into one
+wide ``simulate_batch`` call and split back per cell.  Every lane
+computes bit-identically to its standalone run (the engine's arithmetic
+is per-lane), so each cell keeps its standalone store digest, payload
+and cache address; ``--no-fuse`` (:func:`repro.core.kernels.set_fusion`)
+disables the packing together with the fused kernels.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class RunResult:
     engine:
         ``"scalar"`` or ``"batched"`` — which path actually ran.
     elapsed:
-        Wall-clock seconds of the run (0.0 for cache hits).
+        Wall-clock seconds of the run — a lane-proportional share when
+        several scenarios ran in one call (0.0 for cache hits).
     cached:
         Whether this result came out of the store instead of being
         computed by this call (transient — not part of the payload).
@@ -363,26 +366,22 @@ def _check_compatibility(scenario: Scenario, info: AlgorithmInfo, instances: Seq
             )
 
 
-def _choose_engine(scenario: Scenario, info: AlgorithmInfo, instances: Sequence[MSPInstance]) -> str:
-    if scenario.engine != "auto":
-        return scenario.engine
-    if scenario.algorithm_params:
-        # Batched forms are registered for the default parameterisation
-        # only; variants run through the scalar loop.
-        return "scalar"
-    if not info.vectorized:
-        return "scalar"
-    if len(instances) < 2:
-        return "scalar"
-    if len({inst.length for inst in instances}) != 1:
-        return "scalar"  # ragged draws cannot share a lock-step pass
-    return "batched"
-
-
 # -- execution -------------------------------------------------------------
 
 
-def _run_adaptive(scenario: Scenario, t0: float) -> RunResult:
+def _run_adaptive(scenario: Scenario) -> RunResult:
+    if scenario.engine == "batched":
+        raise ValueError("adaptive adversaries play move-by-move; engine='batched' is impossible")
+    if scenario.metric != "euclidean":
+        raise ValueError(
+            f"adaptive adversaries play in Euclidean space; "
+            f"metric={scenario.metric!r} is not available"
+        )
+    if scenario.effective_ratio() == "bracket":
+        raise ValueError(
+            f"adaptive adversary {scenario.source!r} has no pre-built instances "
+            "to bracket; use ratio='adversary' or 'none'"
+        )
     game = resolve(scenario.source, **scenario.source_kwargs())
     # The adaptive game is fully deterministic given the algorithm (even
     # the registered randomized algorithms reseed per factory call), so
@@ -393,32 +392,12 @@ def _run_adaptive(scenario: Scenario, t0: float) -> RunResult:
         delta=scenario.delta,
     )
     B = len(scenario.seeds)
-    costs = np.full(B, outcome.algorithm_cost)
-    ratios = np.full(B, outcome.ratio)
-    ratio_mode = scenario.effective_ratio()
     return RunResult(
         scenario=scenario,
-        costs=costs,
-        ratios=ratios if ratio_mode == "adversary" else None,
-        measurements=None,
-        traces=None,
+        costs=np.full(B, outcome.algorithm_cost),
+        ratios=np.full(B, outcome.ratio) if scenario.effective_ratio() == "adversary" else None,
         engine="scalar",
-        elapsed=perf_counter() - t0,
     )
-
-
-def _bracket_measurements(
-    instances: Sequence[MSPInstance],
-    costs: np.ndarray,
-    algorithm_name: str,
-    brackets: Sequence[OptBracket] | None,
-) -> list[RatioMeasurement]:
-    if brackets is None:
-        brackets = [bracket_optimum(inst) for inst in instances]
-    elif len(brackets) != len(instances):
-        raise ValueError("need exactly one bracket per instance")
-    return [RatioMeasurement.certify(cost, bracket, algorithm_name)
-            for cost, bracket in zip(costs, brackets)]
 
 
 def _certify(
@@ -439,7 +418,10 @@ def _certify(
             )
         return np.array([adv.ratio_of(float(c)) for adv, c in zip(adversarials, costs)]), None
     if ratio_mode == "bracket":
-        return None, _bracket_measurements(instances, costs, algorithm_name, brackets)
+        if len(brackets) != len(instances):
+            raise ValueError("need exactly one bracket per instance")
+        return None, [RatioMeasurement.certify(cost, bracket, algorithm_name)
+                      for cost, bracket in zip(costs, brackets)]
     return None, None
 
 
@@ -453,67 +435,16 @@ def run(
 ) -> RunResult:
     """Execute one scenario and return its :class:`RunResult`.
 
-    The keyword arguments let :func:`run_many` (and tests) inject
-    pre-materialised instances and offline brackets; ordinary callers
-    pass just the scenario.
+    A one-cell call into the shared executor (:func:`_execute_scenarios`).
+    The keyword arguments let tests inject pre-materialised instances and
+    offline brackets; ordinary callers pass just the scenario.
     """
-    t0 = perf_counter()
-    info = algorithm_info(scenario.algorithm)
-    if scenario.kind == "adversary" and adversary_info(scenario.source).adaptive:
-        if scenario.engine == "batched":
-            raise ValueError("adaptive adversaries play move-by-move; engine='batched' is impossible")
-        if scenario.metric != "euclidean":
-            raise ValueError(
-                f"adaptive adversaries play in Euclidean space; "
-                f"metric={scenario.metric!r} is not available"
-            )
-        return _run_adaptive(scenario, t0)
-
-    if instances is None:
-        instances, adversarials = build_instances(scenario)
-    else:
-        instances = list(instances)
-    _check_compatibility(scenario, info, instances)
-    engine = _choose_engine(scenario, info, instances)
-    metric = _resolve_metric(scenario)
-
-    if engine == "batched":
-        batch = simulate_batch(
-            instances,
-            scenario.algorithm if not scenario.algorithm_params
-            else (lambda: make_algorithm(scenario.algorithm, **scenario.algorithm_kwargs())),
-            delta=scenario.delta,
-            metric=metric,
-        )
-        costs = batch.total_costs
-        traces = batch.traces() if keep_traces else None
-        algorithm_name = batch.algorithm
-    else:
-        traces_all = [
-            simulate(
-                inst,
-                make_algorithm(scenario.algorithm, **scenario.algorithm_kwargs()),
-                delta=scenario.delta,
-                metric=metric,
-            )
-            for inst in instances
-        ]
-        costs = np.array([tr.total_cost for tr in traces_all])
-        algorithm_name = traces_all[0].algorithm
-        traces = traces_all if keep_traces else None
-
-    ratios, measurements = _certify(scenario, instances, adversarials, brackets,
-                                    costs, algorithm_name)
-
-    return RunResult(
-        scenario=scenario,
-        costs=np.asarray(costs, dtype=np.float64),
-        ratios=ratios,
-        measurements=measurements,
-        traces=traces,
-        engine=engine,
-        elapsed=perf_counter() - t0,
-    )
+    return _execute_scenarios(
+        [(0, scenario)],
+        keep_traces=keep_traces,
+        brackets=None if brackets is None else {0: brackets},
+        instances=None if instances is None else {0: (list(instances), adversarials)},
+    )[0]
 
 
 def _share_key(scenario: Scenario) -> tuple:
@@ -522,74 +453,80 @@ def _share_key(scenario: Scenario) -> tuple:
             scenario.seeds, scenario.cost_model)
 
 
-# -- cross-cell mega-batching ----------------------------------------------
+def _mega_key(scenario: Scenario, instances: Sequence[MSPInstance]) -> tuple:
+    """Grouping key for one ``simulate_batch`` call.
 
-
-def _mega_key(scenario: Scenario, instances: Sequence[MSPInstance]) -> tuple | None:
-    """Grouping key for one wide ``simulate_batch`` call, or ``None``.
-
-    Cells agreeing on this key — same algorithm, same instance shape —
-    can run as lanes of a single batched-engine pass: the engine's
-    arithmetic is strictly per-lane (source, seed, δ and cost model all
-    become per-lane data), so each cell's slice of the wide trace is
-    bit-identical to its standalone run.  ``None`` means the cell cannot
-    join a group (non-uniform dims would not survive the engine anyway).
-    Non-euclidean cells never join a group: the metric instance is a
-    batch-wide argument (two ``graph`` scenarios may live on different
-    topologies), so they run standalone.
+    Cells agreeing on this key — same algorithm and variant parameters,
+    same instance shape — run as lanes of a single batched-engine pass:
+    the engine's arithmetic is strictly per-lane (source, seed, δ and
+    cost model all become per-lane data), so each cell's slice of the
+    wide trace is bit-identical to its standalone run.  A cell whose
+    instances disagree on ``(T, dim)`` cannot be lock-stepped at all.
     """
-    if scenario.metric != "euclidean":
-        return None
-    dims = {inst.dim for inst in instances}
-    if len(dims) != 1:
-        return None
-    return (scenario.algorithm, instances[0].length, next(iter(dims)))
+    shapes = {(inst.length, inst.dim) for inst in instances}
+    if len(shapes) != 1:
+        raise ValueError(
+            f"scenario {scenario.label()!r} draws instances of different "
+            f"(T, dim) shapes {sorted(shapes)}; lock-step lanes need one "
+            "shape, so run it with engine='scalar'"
+        )
+    return (scenario.algorithm, scenario.algorithm_params, *shapes.pop())
 
 
-def _run_mega_group(
+def _run_group(
     entries: Sequence[tuple[int, Scenario, list[MSPInstance],
                             "list[AdversarialInstance] | None",
                             "Sequence[OptBracket] | None"]],
-    keep_traces: bool = False,
+    keep_traces: bool,
 ) -> list[tuple[int, RunResult]]:
-    """One wide ``simulate_batch`` pass over several compatible cells.
+    """Play one group of cells and split the lanes back per cell.
 
-    Lanes are the concatenated per-cell instances with a per-lane δ
-    vector; the trace is split back at the cell offsets.  Costs, ratios
-    and bracket measurements are computed per cell exactly as
-    :func:`run` would, so payloads (and therefore store entries) match
-    the unbatched path bit-for-bit; only ``elapsed`` (wall-clock, a
-    proportional share of the group pass) differs.
+    A group is either a single ``engine="scalar"`` cell, played through
+    the reference :func:`simulate` loop, or cells sharing a
+    :func:`_mega_key`, played as the lanes of one :func:`simulate_batch`
+    call with a per-lane δ vector.  Costs, ratios and bracket
+    measurements are computed per cell, so every payload is bit-identical
+    whichever cells shared the pass.
     """
-    t0 = perf_counter()
-    all_instances = [inst for _, _, instances, _, _ in entries for inst in instances]
-    deltas = np.concatenate([
-        np.full(len(instances), scenario.delta)
-        for _, scenario, instances, _, _ in entries
-    ])
-    batch = simulate_batch(all_instances, entries[0][1].algorithm, delta=deltas)
-    elapsed = perf_counter() - t0
-    share = elapsed / len(all_instances)
+    first = entries[0][1]
+    instances = [inst for _, _, cell, _, _ in entries for inst in cell]
+    if first.engine == "scalar":
+        engine = "scalar"
+        traces = [
+            simulate(inst, make_algorithm(first.algorithm, **first.algorithm_kwargs()),
+                     delta=first.delta, metric=_resolve_metric(first))
+            for inst in instances
+        ]
+        costs = np.array([tr.total_cost for tr in traces])
+        algorithm_name = traces[0].algorithm
+        lane_trace = traces.__getitem__
+    else:
+        engine = "batched"
+        deltas = np.concatenate([np.full(len(cell), scenario.delta)
+                                 for _, scenario, cell, _, _ in entries])
+        algorithm = first.algorithm if not first.algorithm_params else (
+            lambda: make_algorithm(first.algorithm, **first.algorithm_kwargs()))
+        batch = simulate_batch(instances, algorithm, delta=deltas,
+                               metric=_resolve_metric(first))
+        costs = batch.total_costs
+        algorithm_name = batch.algorithm
+        lane_trace = batch.trace
 
     out: list[tuple[int, RunResult]] = []
     offset = 0
-    for index, scenario, instances, adversarials, brackets in entries:
-        n = len(instances)
-        lanes = slice(offset, offset + n)
-        offset += n
-        costs = np.asarray(batch.total_costs[lanes], dtype=np.float64)
-        ratios, measurements = _certify(scenario, instances, adversarials,
-                                        brackets, costs, batch.algorithm)
-        traces = [batch.trace(lane) for lane in range(lanes.start, lanes.stop)] \
-            if keep_traces else None
+    for index, scenario, cell, adversarials, brackets in entries:
+        lanes = range(offset, offset + len(cell))
+        offset += len(cell)
+        cell_costs = np.asarray(costs[lanes.start:lanes.stop], dtype=np.float64)
+        ratios, measurements = _certify(scenario, cell, adversarials, brackets,
+                                        cell_costs, algorithm_name)
         out.append((index, RunResult(
             scenario=scenario,
-            costs=costs,
+            costs=cell_costs,
             ratios=ratios,
             measurements=measurements,
-            traces=traces,
-            engine="batched",
-            elapsed=share * n,
+            traces=[lane_trace(lane) for lane in lanes] if keep_traces else None,
+            engine=engine,
         )))
     return out
 
@@ -598,57 +535,62 @@ def _execute_scenarios(
     pending: Sequence[tuple[int, Scenario]],
     keep_traces: bool = False,
     brackets: Mapping[int, "Sequence[OptBracket]"] | None = None,
+    instances: Mapping[int, tuple[list[MSPInstance], "list[AdversarialInstance] | None"]]
+    | None = None,
 ) -> dict[int, RunResult]:
-    """Run index-tagged scenarios, mega-batching compatible cells.
+    """Run index-tagged scenarios: the runtime's one executor.
 
-    The shared entry point behind inline :func:`run_many` and the
-    orchestrator's grouped scenario cells (:func:`_cell_run_group`):
-    materialises instances (shared across scenarios with equal
-    :func:`_share_key`, solving each bracket group once), then packs
-    cells that would run on the batched engine into one
-    :func:`simulate_batch` call per :func:`_mega_key` group.  ``brackets``
-    optionally injects pre-solved brackets per index (the orchestrator's
-    soft-dependency payloads).  Results are bit-identical to per-scenario
-    :func:`run` calls in any order; fusion off
-    (:func:`repro.core.kernels.fusion_enabled`) disables the packing.
+    Behind :func:`run`, inline :func:`run_many` and the orchestrator's
+    grouped scenario cells (:func:`_cell_run_group`).  Materialises
+    instances (shared across scenarios with equal :func:`_share_key`,
+    solving each bracket group once), then plays every non-adaptive cell
+    as lanes of one :func:`simulate_batch` call per :func:`_mega_key`
+    group.  ``engine="scalar"`` cells play the reference loop one cell at
+    a time; adaptive games play move by move.  Non-Euclidean cells, and
+    every cell when fusion is off
+    (:func:`repro.core.kernels.fusion_enabled`), form a group of their
+    own: the metric is a batch-wide argument (two ``graph`` scenarios may
+    live on different topologies).  ``brackets`` and ``instances``
+    optionally inject pre-solved brackets and pre-built instances per
+    index.  Each result's ``elapsed`` is its lane-proportional share of
+    the call's wall-clock.
     """
     from ..core.kernels import fusion_enabled
 
+    t0 = perf_counter()
+    injected = dict(instances or {})
     overrides = dict(brackets or {})
-    share: dict[tuple, tuple] = {}
+    share: dict[tuple, list] = {}
     groups: dict[tuple, list] = {}
-    singles: list[tuple] = []
     out: dict[int, RunResult] = {}
     for index, scenario in pending:
         if scenario.kind == "adversary" and adversary_info(scenario.source).adaptive:
-            out[index] = run(scenario, keep_traces=keep_traces)
+            out[index] = _run_adaptive(scenario)
             continue
-        key = _share_key(scenario)
+        key = ("injected", index) if index in injected else _share_key(scenario)
         if key not in share:
-            share[key] = (*build_instances(scenario), None)
-        instances, advs, shared_brackets = share[key]
+            built = injected[index] if index in injected else build_instances(scenario)
+            share[key] = [*built, None]
+        cell, advs, shared_brackets = share[key]
+        _check_compatibility(scenario, algorithm_info(scenario.algorithm), cell)
         cell_brackets = overrides.get(index)
         if cell_brackets is None and scenario.effective_ratio() == "bracket":
             if shared_brackets is None:
-                shared_brackets = [bracket_optimum(inst) for inst in instances]
-                share[key] = (instances, advs, shared_brackets)
-            cell_brackets = shared_brackets
-        entry = (index, scenario, instances, advs, cell_brackets)
-        mega = _mega_key(scenario, instances) if fusion_enabled() else None
-        if mega is not None and _choose_engine(
-                scenario, algorithm_info(scenario.algorithm), instances) == "batched":
-            groups.setdefault(mega, []).append(entry)
+                share[key][2] = [bracket_optimum(inst) for inst in cell]
+            cell_brackets = share[key][2]
+        if scenario.engine == "scalar":
+            group: tuple = ("scalar", index)
         else:
-            singles.append(entry)
-    for group in groups.values():
-        if len(group) == 1:
-            singles.append(group[0])
-            continue
-        for index, result in _run_mega_group(group, keep_traces=keep_traces):
-            out[index] = result
-    for index, scenario, instances, advs, cell_brackets in singles:
-        out[index] = run(scenario, instances=instances, adversarials=advs,
-                         brackets=cell_brackets, keep_traces=keep_traces)
+            group = _mega_key(scenario, cell)
+            if scenario.metric != "euclidean" or not fusion_enabled():
+                group += (index,)
+        groups.setdefault(group, []).append((index, scenario, cell, advs, cell_brackets))
+    for entries in groups.values():
+        out.update(_run_group(entries, keep_traces))
+    lanes = sum(result.batch_size for result in out.values())
+    elapsed = perf_counter() - t0
+    for result in out.values():
+        result.elapsed = elapsed * result.batch_size / lanes
     return out
 
 
@@ -678,8 +620,8 @@ def _run_many_pooled(
     results = []
     for key in keys:
         result = RunResult.from_payload(payloads[key])
-        # Timings list exactly the cells computed this run; everything
-        # else was a (validity-checked) cache hit or an in-run twin.
+        # Timings list every cell computed this run, in-run twins
+        # included; everything else the store served.
         result.cached = f"run-many/{key}" not in report.timings
         results.append(result)
     return results

@@ -114,10 +114,9 @@ class Scenario:
         ``"none"``, or ``"auto"`` (adversary sources certify against the
         adversary, workload sources skip certification).
     engine:
-        ``"auto"`` lets the dispatcher pick (vectorized lock-step when the
-        algorithm advertises a batched implementation, the scalar loop
-        otherwise — bit-identical either way); ``"scalar"``/``"batched"``
-        force a path.
+        ``"auto"`` and ``"batched"`` play the lock-step batched engine
+        (packed with compatible cells into one wide pass); ``"scalar"``
+        plays the reference per-instance loop — bit-identical either way.
     metric:
         Name of the registered metric space the run happens in
         (:mod:`repro.core.metric`); ``"euclidean"`` — the default — runs

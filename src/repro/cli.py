@@ -609,7 +609,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="metric space to run in (euclidean, l1, linf, graph; "
                             "comma-separated values become a --grid axis)")
     p_run.add_argument("--engine", default="auto", choices=["auto", "scalar", "batched"],
-                       help="simulation engine (auto picks; both are bit-identical)")
+                       help="simulation engine: auto/batched play the lock-step engine, "
+                            "scalar the reference loop (bit-identical)")
     p_run.add_argument("--store", type=str, default="", metavar="DIR",
                        help="content-addressed result cache (same store the "
                             "experiments orchestrator uses)")

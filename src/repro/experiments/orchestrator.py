@@ -119,10 +119,11 @@ class ExecutionReport:
     cached: int = 0
     #: Ephemeral units skipped because every consumer was already cached.
     skipped: int = 0
-    #: Wall-clock seconds per *computed* cell (cache hits don't appear),
-    #: keyed by the cell's namespaced key.  Under ``jobs>1`` these are the
-    #: in-worker durations, so they sum to total CPU-side work, not to the
-    #: elapsed wall-clock of the pooled run.
+    #: Wall-clock seconds per *computed* cell (cache hits don't appear;
+    #: within-run twins of a computed cell read 0.0), keyed by the cell's
+    #: namespaced key.  Under ``jobs>1`` these are the in-worker
+    #: durations, so they sum to total CPU-side work, not to the elapsed
+    #: wall-clock of the pooled run.
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -269,7 +270,8 @@ def execute(
 
     # Within-run dedup: units with identical content addresses (e.g. the
     # same experiment requested twice, or two sweeps sharing a cell)
-    # compute once; the twins count as cache hits.
+    # compute once; the twins count as computed, since the store served
+    # none of them.
     pending: list[tuple[str, WorkUnit]] = []
     twins: dict[str, list[str]] = {}
     for full, unit in ordered:
@@ -278,7 +280,6 @@ def execute(
         digest = digests[full]
         if digest in twins:
             twins[digest].append(full)
-            report.cached += 1
         else:
             twins[digest] = []
             pending.append((full, unit))
@@ -297,15 +298,16 @@ def execute(
         if not drop:
             break
         pending = [(full, unit) for full, unit in pending if full not in drop]
-        report.skipped += len(drop)
+        report.skipped += sum(1 + len(twins[digests[full]]) for full in drop)
 
     def finish(full: str, unit: WorkUnit, payload: Any, elapsed: float,
                persist: bool = True) -> None:
         payloads[full] = payload
+        report.timings[full] = elapsed
         for twin in twins[digests[full]]:
             payloads[twin] = payload
-        report.computed += 1
-        report.timings[full] = elapsed
+            report.timings[twin] = 0.0  # computed once, under ``full``
+        report.computed += 1 + len(twins[digests[full]])
         if store is not None and persist:
             store.save(digests[full], payload,
                        extra_meta={"key": full, "fn": unit.fn, "elapsed": elapsed})

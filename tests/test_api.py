@@ -29,6 +29,7 @@ from repro.api import (
     run_many,
     scenario_unit,
 )
+from repro.cli import main
 from repro.core import CostModel, simulate, simulate_batch
 from repro.core.store import ResultsStore
 from repro.workloads.registry import WORKLOADS
@@ -225,11 +226,21 @@ class TestDispatcherParity:
                                 metric=sc.metric).total_costs
         np.testing.assert_array_equal(batched.costs, direct)
 
-    def test_auto_prefers_vectorized_entries(self):
-        sc = _parity_scenario("mtc")
-        assert run(sc).engine == "batched"
-        # Variant parameters have no vectorized twin: fall back to scalar.
-        assert run(sc.with_(algorithm_params={"step_scale": 0.5})).engine == "scalar"
+    @pytest.mark.parametrize("name, params", [
+        ("mtc", {"step_scale": 0.5}),
+        ("lazy", {"threshold_factor": 0.5}),
+        ("follow-last", {"smoothing": 0.5}),
+    ])
+    def test_algorithm_params_variants_run_batched(self, name, params):
+        """Variants play the lock-step engine through a factory and match
+        the scalar reference loop bit for bit."""
+        sc = _parity_scenario(name).with_(algorithm_params=params)
+        batched = run(sc)
+        scalar = run(sc.with_(engine="scalar"))
+        assert batched.engine == "batched" and scalar.engine == "scalar"
+        np.testing.assert_array_equal(batched.costs, scalar.costs)
+        for a, b in zip(batched.traces, scalar.traces):
+            np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_algorithm_params_change_behaviour(self):
         sc = _parity_scenario("mtc")
@@ -305,6 +316,17 @@ class TestRunSemantics:
         assert result.ratios.shape == (2,)
         with pytest.raises(ValueError, match="adaptive"):
             run(sc.with_(engine="batched"))
+
+    def test_adaptive_game_rejects_bracket_ratio(self, capsys):
+        """Adaptive games have no instances to bracket: an explicit error,
+        not a result with every certificate silently missing."""
+        sc = Scenario.adversary("greedy-escape", "mtc", params={"T": 20, "D": 2.0},
+                                seeds=[0], delta=0.5, ratio="bracket")
+        with pytest.raises(ValueError, match="no pre-built instances to bracket"):
+            run(sc)
+        assert main(["run", "--source", "greedy-escape", "-p", "T=20",
+                     "--ratio", "bracket"]) == 2
+        assert "bad scenario" in capsys.readouterr().err
 
     def test_moving_client_source_lowers_to_msp(self):
         sc = Scenario.workload("patrol-agent", "mtc-moving-client",

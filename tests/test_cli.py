@@ -156,7 +156,8 @@ class TestCLIRun:
         assert main(["run", "--source", "drift", "-p", "T=30", "-p", "dim=1",
                      "--algorithm", "mtc", "--alg-param", "step_scale=0.5",
                      "--delta", "0.5"]) == 0
-        assert "scalar engine" in capsys.readouterr().out
+        # Variants play the lock-step engine like every other cell.
+        assert "batched engine" in capsys.readouterr().out
 
     def test_run_grid_sweep(self, capsys):
         assert main(["run", "--grid", "--source", "drift",

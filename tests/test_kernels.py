@@ -350,10 +350,50 @@ class TestMegaBatching:
             for s, src in enumerate(("random-walk", "drift"))
         ]
 
-    def test_mega_key_groups_compatible_cells(self):
-        scenarios = self._sweep()
-        keys = {_mega_key(sc, build_instances(sc)[0]) for sc in scenarios}
-        assert keys == {("greedy-centroid", 30, 2)}
+    @pytest.mark.parametrize("algorithm", ["greedy-centroid", "work-function"])
+    def test_one_seed_cells_run_as_one_wide_pass(self, algorithm, monkeypatch):
+        """E13's shape: one one-seed bracket cell per 1-D suite source under
+        one algorithm runs as the lanes of a single simulate_batch call,
+        with payloads equal to the scalar reference apart from wall-clock
+        and the engine label."""
+        import repro.api.runtime as runtime_mod
+        from repro.workloads import SUITE_NAMES, suite_entry
+
+        sources = dict(suite_entry(name, 1) for name in SUITE_NAMES)
+        scenarios = [
+            Scenario.workload(source, algorithm,
+                              params={"T": 24, "dim": 1, "D": 4.0, "m": 1.0, **extra},
+                              seeds=(3,), delta=0.5, ratio="bracket")
+            for source, extra in sources.items()
+        ]
+        lanes: list[int] = []
+        original = runtime_mod.simulate_batch
+
+        def spy(instances, *args, **kwargs):
+            lanes.append(len(instances))
+            return original(instances, *args, **kwargs)
+
+        monkeypatch.setattr(runtime_mod, "simulate_batch", spy)
+        grouped = run_many(scenarios)
+        assert lanes == [len(scenarios)]
+        for sc, res in zip(scenarios, grouped):
+            assert res.engine == "batched"
+            reference = run(sc.with_(engine="scalar")).as_payload()
+            assert reference["engine"] == "scalar"
+            payload = res.as_payload()
+            reference["scenario"] = payload["scenario"]
+            reference["engine"] = payload["engine"]
+            _payloads_equal(payload, reference)
+
+    def test_ragged_instances_point_at_scalar_engine(self):
+        sc = _scenario("greedy-centroid", delta=0.5, seeds=[0, 1])
+        ragged = [build_instances(sc.with_(source_params={**sc.source_kwargs(), "T": T},
+                                           seeds=[s]))[0][0]
+                  for s, T in ((0, 20), (1, 30))]
+        with pytest.raises(ValueError, match="engine='scalar'"):
+            run(sc, instances=ragged)
+        costs = run(sc.with_(engine="scalar"), instances=ragged).costs
+        assert costs.shape == (2,)
 
     def test_run_many_matches_individual_runs(self):
         scenarios = self._sweep()

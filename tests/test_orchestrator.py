@@ -138,6 +138,25 @@ class TestStoreCaching:
         assert report.computed == 2 and report.cached == 4
         assert len(list(work.iterdir())) == 2  # only the missing cells re-ran
 
+    def test_fresh_store_with_in_run_twins_reports_no_hits(self, tmp_path):
+        """E8's T=200/T=400 cells coincide at small scale: the twin is
+        computed once and reported as computed, never as cached."""
+        (spec,) = build_specs(["E8"], scale=0.1, seed=0)
+        report = execute([spec], store=ResultsStore(tmp_path / "store"))
+        assert report.cached == 0
+        assert report.computed + report.skipped == len(spec.units)
+        assert len(report.timings) == report.computed
+
+    def test_pooled_run_many_flags_only_store_hits(self, tmp_path):
+        from repro.api import Scenario, run_many
+
+        sc = Scenario.workload("drift", "mtc", params={"T": 12, "dim": 1}, seeds=[0, 1])
+        store = ResultsStore(tmp_path / "store")
+        first = run_many([sc, sc.with_(name="twin")], store=store, jobs=2)
+        assert [r.cached for r in first] == [False, False]
+        again = run_many([sc, sc.with_(name="twin")], store=store, jobs=2)
+        assert [r.cached for r in again] == [True, True]
+
     def test_rerun_recomputes_everything(self, tmp_path):
         work = tmp_path / "work"
         work.mkdir()
@@ -238,8 +257,11 @@ class TestLegacyWrapping:
         report = run_all_detailed(["E9", "E9"], scale=0.1, seed=0, store=store)
         assert len(report.results) == 2
         assert report.results[0].render() == report.results[1].render()
-        # second spec's cells share the first's content addresses: pure cache hits
-        assert report.computed == report.cached > 0
+        # The second spec's cells share the first's content addresses, so
+        # they are filled from the first run, but nothing came from the
+        # (empty) store: no cache hits.
+        assert report.cached == 0
+        assert report.computed == report.total > 0
 
 
 class TestSweepSeeds:

@@ -151,12 +151,6 @@ class TestCostModelCapability:
 
 
 class TestVectorizedFlag:
-    def test_flag_matches_vectorized_registry(self):
-        from repro.algorithms import VECTORIZED, algorithm_info, available_algorithms
-
-        for name in available_algorithms():
-            assert algorithm_info(name).vectorized == (name in VECTORIZED)
-
     def test_parameterized_factory(self):
         from repro.algorithms import MoveToCenter, make_algorithm
 
