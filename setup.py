@@ -7,7 +7,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=2.0", "scipy"],
+    install_requires=["numpy>=2.0"],
     entry_points={
         "console_scripts": [
             "mobile-server=repro.cli:main",

@@ -51,6 +51,10 @@ class RatioMeasurement:
         Certified bracket of the offline optimum.
     ratio_lower, ratio_upper:
         ``cost/opt_upper`` and ``cost/opt_lower``.
+    opt_gap, opt_converged:
+        The bracket's relative gap and whether its solver reached its
+        gap tolerance; an unconverged bracket is valid but wide, and
+        :class:`~repro.api.runtime.RunResult` flags it.
     algorithm:
         Name of the measured algorithm.
     """
@@ -60,6 +64,8 @@ class RatioMeasurement:
     opt_upper: float
     ratio_lower: float
     ratio_upper: float
+    opt_gap: float
+    opt_converged: bool
     algorithm: str = ""
 
     @classmethod
@@ -72,6 +78,8 @@ class RatioMeasurement:
             opt_upper=bracket.upper,
             ratio_lower=cost / max(bracket.upper, 1e-300),
             ratio_upper=cost / max(bracket.lower, 1e-300),
+            opt_gap=float(bracket.gap),
+            opt_converged=bool(bracket.converged),
             algorithm=algorithm,
         )
 
@@ -110,6 +118,8 @@ def measures_to_payload(measures: Sequence[RatioMeasurement]) -> dict:
         "opt_upper": np.array([m.opt_upper for m in measures], dtype=np.float64),
         "ratio_lower": np.array([m.ratio_lower for m in measures], dtype=np.float64),
         "ratio_upper": np.array([m.ratio_upper for m in measures], dtype=np.float64),
+        "opt_gap": np.array([m.opt_gap for m in measures], dtype=np.float64),
+        "opt_converged": [m.opt_converged for m in measures],
     }
 
 
@@ -122,6 +132,8 @@ def measures_from_payload(payload: dict) -> list[RatioMeasurement]:
             opt_upper=float(payload["opt_upper"][i]),
             ratio_lower=float(payload["ratio_lower"][i]),
             ratio_upper=float(payload["ratio_upper"][i]),
+            opt_gap=float(payload["opt_gap"][i]),
+            opt_converged=bool(payload["opt_converged"][i]),
             algorithm=payload["algorithm"][i],
         )
         for i in range(len(payload["algorithm"]))

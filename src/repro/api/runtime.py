@@ -163,6 +163,14 @@ class RunResult:
             raise ValueError(f"scenario {self.scenario.label()!r} has no bracket measurements")
         return np.array([m.ratio_upper for m in self.measurements])
 
+    @property
+    def unconverged(self) -> int:
+        """How many of the seeds' offline brackets missed their gap
+        tolerance (valid, but wider than the solver's target)."""
+        if self.measurements is None:
+            return 0
+        return sum(not m.opt_converged for m in self.measurements)
+
     def certified_ratio(self) -> float | None:
         """The one certified mean ratio of this run, if any.
 
@@ -204,6 +212,8 @@ class RunResult:
                 f"ratio in [{float(self.ratio_lower.mean()):.4g}, "
                 f"{float(self.ratio_upper.mean()):.4g}]"
             )
+            if self.unconverged:
+                parts.append(f"UNCONVERGED brackets: {self.unconverged}")
         parts.append(f"{self.elapsed:.3f}s")
         return ", ".join(parts)
 
@@ -354,6 +364,12 @@ def _check_compatibility(scenario: Scenario, info: AlgorithmInfo, instances: Seq
                 f"{source_info.metrics} metric(s); pass metric= explicitly"
             )
     for inst in instances:
+        if scenario.effective_ratio() == "bracket" and not inst.cost_model.counts_service:
+            raise ValueError(
+                f"the offline bracket solves the serve-at-a-distance program; "
+                f"it cannot certify the {inst.cost_model.value!r} cost model, "
+                f"whose requests must be covered (use ratio='none')"
+            )
         if not info.supports_dim(inst.dim):
             raise ValueError(
                 f"algorithm {info.name!r} does not support dim={inst.dim} "

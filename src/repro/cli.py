@@ -376,6 +376,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.measurements is not None:
         print(f"  certified ratio interval (mean): [{float(result.ratio_lower.mean()):.4f}, "
               f"{float(result.ratio_upper.mean()):.4f}]")
+        if result.unconverged:
+            print(f"  UNCONVERGED: {result.unconverged} offline bracket(s) stopped at the "
+                  "iteration budget; their intervals are valid but wide")
     if store is not None:
         print(f"  scenario digest {scenario.digest()[:16]}... ({store.root})")
     return 0

@@ -143,7 +143,8 @@ def replay_cost(
     """Cost a *given* server trajectory on an instance.
 
     Used to evaluate offline solutions (DP outputs, analytic adversary
-    trajectories) under exactly the same accounting as online runs.
+    trajectories) under exactly the same accounting as online runs,
+    cost model included (a movement-only instance charges no service).
 
     Parameters
     ----------
@@ -174,10 +175,11 @@ def replay_cost(
     trace.distances_moved[:] = moved
     trace.movement_costs[:] = instance.D * moved
     serve_after_move = instance.cost_model.serves_after_move
+    counts_service = instance.cost_model.counts_service
     for t in range(T):
         batch = requests[t]
         trace.request_counts[t] = batch.count
-        if batch.count:
+        if batch.count and counts_service:
             serving_pos = positions[t + 1] if serve_after_move else positions[t]
             trace.service_costs[t] = float(distances_to(serving_pos, batch.points).sum())
     if validate_cap is not None:

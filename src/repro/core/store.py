@@ -172,6 +172,28 @@ def load_payload(path: str | Path) -> Any:
     return unpack_payload(skeleton, arrays)
 
 
+def _uncertified_bracket(node: Any) -> bool:
+    """Whether a payload holds an offline bracket without its certificate.
+
+    Brackets (``OptBracket`` payloads: ``lower``/``upper``/``method``) and
+    the ratio measurements built on them (``opt_lower``) carry their
+    certificate's ``gap`` / ``opt_gap`` since the offline solver became
+    primal–dual.  Earlier entries lack it: their lower ends came from an
+    uncertified solver and are sometimes above the optimum.  Content
+    addresses did not change, so :meth:`ResultsStore.load_or_none` reads
+    such entries as misses and their cells recompute in place.
+    """
+    if isinstance(node, dict):
+        if {"lower", "upper", "method"} <= node.keys() and "gap" not in node:
+            return True
+        if "opt_lower" in node and "opt_gap" not in node:
+            return True
+        return any(_uncertified_bracket(value) for value in node.values())
+    if isinstance(node, list):
+        return any(_uncertified_bracket(item) for item in node)
+    return False
+
+
 @dataclass(frozen=True)
 class GCStats:
     """Outcome of one :meth:`ResultsStore.gc` pass."""
@@ -245,12 +267,14 @@ class ResultsStore:
         Such an entry is deleted so the caller — the orchestrator's
         cache scan, a spool worker resolving dependencies — treats it as
         a plain cache miss and recomputes the cell instead of crashing
-        the run.  Since ``None`` is itself a storable payload, callers
-        that must tell the two apart pass :data:`MISSING` as ``default``.
+        the run.  An entry whose offline bracket predates its certificate
+        (:func:`_uncertified_bracket`) is a miss as well.  Since ``None``
+        is itself a storable payload, callers that must tell the two apart
+        pass :data:`MISSING` as ``default``.
         """
         path = self.path_for(digest)
         try:
-            return self.load(digest)
+            payload = self.load(digest)
         except OSError:
             # Missing entry or a *transient* I/O failure (stale NFS
             # handle, fd exhaustion): a plain miss, never a deletion —
@@ -276,6 +300,11 @@ class ResultsStore:
             except OSError:
                 pass
             return default
+        if _uncertified_bracket(payload):
+            # A superseded but readable entry: a miss that the recompute
+            # overwrites, never a deletion.
+            return default
+        return payload
 
     def save(self, digest: str, payload: Any, extra_meta: Mapping[str, Any] | None = None) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)

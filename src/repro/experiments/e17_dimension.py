@@ -26,7 +26,7 @@ import numpy as np
 from ..api.runtime import scenario_units
 from ..api.scenario import Scenario
 from .orchestrator import SweepSpec
-from .runner import ExperimentResult, scaled, sweep_seeds
+from .runner import ExperimentResult, scaled, sweep_seeds, unconverged_notes
 
 __all__ = ["build_spec", "finalize"]
 
@@ -78,6 +78,8 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
         "criterion: certified MtC ratios bounded and near-flat across dimensions; "
         "the Thm-1 construction is dimension-invariant (it lives on one line)",
         f"walk-ratio spread across d: x{walk_spread:.2f}; thm1 spread: x{thm1_spread:.2f}",
+        *unconverged_notes({f"walk/dim={dim}": results[f"walk/dim={dim}"]["measures"]
+                            for dim in DIMS}),
     ]
     ok = walk_spread <= 2.0 and thm1_spread <= 1.05 and max(walk_ratios.values()) <= 10.0
     return ExperimentResult(

@@ -8,15 +8,15 @@ Runs the moving-client MtC on random-waypoint patrol agents for a sweep of
   construction the ratio diverges — shown side by side.
 
 OPT is bracketed by the exact 1-D DP (agents patrol a line here so the
-certificate is tight); a 2-D spot row uses the convex bracket.
+certificate is tight); a 2-D spot row uses the primal–dual bracket.
 
 Declared as an orchestrator sweep: the Thm-8 contrast is one generic
 ``thm8`` scenario cell per T (:func:`repro.api.runtime.scenario_units`,
 keyed by the unscaled T — at small scales two T values share one scaled
 horizon, and with it one content address, so they cannot be a
-``Scenario.grid``).  The patrol rows divide by the DP bracket's lower end
-on a finer grid than the scenario runtime's default, and stay function
-cells together with the 2-D spot check.
+``Scenario.grid``), and the 2-D spot row is a ``ratio="bracket"``
+scenario cell.  The patrol rows divide by the DP bracket's lower end on a
+finer grid than the scenario runtime's default, and stay function cells.
 """
 
 from __future__ import annotations
@@ -25,15 +25,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..algorithms import MovingClientMtC
 from ..api.runtime import scenario_units
 from ..api.scenario import Scenario
 from ..core.engine import simulate_batch
-from ..core.simulator import simulate
 from ..offline import bracket_optimum
 from ..workloads import PatrolAgentWorkload
 from .orchestrator import SweepSpec, WorkUnit
-from .runner import ExperimentResult, scaled, sweep_seeds
+from .runner import ExperimentResult, scaled, sweep_seeds, unconverged_notes
 
 __all__ = ["build_spec", "finalize"]
 
@@ -58,16 +56,6 @@ def cell_patrol(T_wl: int, n_seeds: int, seed: int) -> dict:
     return {"ratios": np.array(ratios, dtype=np.float64)}
 
 
-def cell_spot_2d(T_wl: int, seed: int) -> dict:
-    """2-D spot check of the O(1) regime."""
-    wl2 = PatrolAgentWorkload(T_wl, dim=2, D=D, m_server=1.0, m_agent=1.0, arena=15.0)
-    mc2 = wl2.generate(np.random.default_rng(seed))
-    inst2 = mc2.as_msp()
-    tr2 = simulate(inst2, MovingClientMtC(), delta=0.0)
-    br2 = bracket_optimum(inst2)
-    return {"ratio": tr2.total_cost / max(br2.lower, 1e-12), "T": wl2.T}
-
-
 # -- spec ------------------------------------------------------------------
 
 
@@ -81,19 +69,23 @@ def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
             params={"T_wl": scaled(T, scale, minimum=50), "n_seeds": n_seeds, "seed": seed},
         ))
     keys = [f"thm8/T={T}" for T in TS]
-    units.extend(scenario_units([
+    scenarios = [
         Scenario.adversary(
             "thm8", "mtc-moving-client",
             params={"T": scaled(T, scale, minimum=64) * 4, "epsilon": 1.0},
             seeds=sweep_seeds(seed, n_seeds), name=key,
         )
         for T, key in zip(TS, keys)
-    ], keys=keys))
-    units.append(WorkUnit(
-        key="spot-2d",
-        fn=f"{_MODULE}:cell_spot_2d",
-        params={"T_wl": scaled(200, scale, minimum=50), "seed": seed},
+    ]
+    # 2-D spot check of the O(1) regime.
+    keys.append("spot-2d")
+    scenarios.append(Scenario.workload(
+        "patrol-agent", "mtc-moving-client",
+        params={"T": scaled(200, scale, minimum=50), "dim": 2, "D": D,
+                "m_server": 1.0, "m_agent": 1.0, "arena": 15.0},
+        seeds=[seed], delta=0.0, ratio="bracket", name="spot-2d",
     ))
+    units.extend(scenario_units(scenarios, keys=keys))
     return SweepSpec("E8", tuple(units), finalize=f"{_MODULE}:finalize",
                      scale=scale, seed=seed)
 
@@ -108,13 +100,15 @@ def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentR
     for T in TS:
         rows.append(["thm8 (ma=2ms)", T * 4, float(np.mean(results[f"thm8/T={T}"]["ratios"]))])
     spot = results["spot-2d"]
-    rows.append(["patrol-2d (ms=ma)", spot["T"], spot["ratio"]])
+    rows.append(["patrol-2d (ms=ma)", spot["scenario"]["source_params"]["T"],
+                 float(spot["measures"]["ratio_upper"][0])])
 
     spread = max(flat_ratios) / max(min(flat_ratios), 1e-12)
     notes = [
         "criterion: with m_s >= m_a the certified ratio is O(1) and flat in T, "
         "no augmentation needed (Thm 10 / Cor 9); with a faster agent it diverges (Thm 8)",
         f"flatness of the ms=ma rows: max/min ratio across T = {spread:.2f}",
+        *unconverged_notes({"spot-2d": spot["measures"]}),
     ]
     ok = spread <= 2.0 and max(flat_ratios) <= 40.0
     return ExperimentResult(

@@ -428,6 +428,10 @@ class SpoolExecutor(Executor):
         # drain waits forever.
         spool.clear_stop()
         waiting: dict[str, "WorkUnit"] = dict(ctx.pending)
+        # Entries already present that the cache scan did not serve (a
+        # superseded payload, see ResultsStore.load_or_none): only their
+        # done-ack means the recomputed payload has landed.
+        superseded = {ctx.digests[key] for key in waiting if ctx.digests[key] in ctx.store}
         inflight: dict[str, "WorkUnit"] = {}
         resubmits: dict[str, int] = {}
         last_progress = time.monotonic()
@@ -458,7 +462,7 @@ class SpoolExecutor(Executor):
             # One store scan per tick, same rationale as entry_names().
             stored_now = ctx.store.entry_digests() if inflight else set()
             # Stale entries must not count as completion under --rerun.
-            stored = stored_now if not ctx.rerun else set()
+            stored = stored_now - superseded if not ctx.rerun else set()
             # Self-heal dependency entries: a worker finding a dep
             # unreadable (torn copy — load_or_none drops it) hands its
             # task back; this side still holds every dep payload in

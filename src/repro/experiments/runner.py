@@ -23,7 +23,7 @@ from typing import Any, Sequence
 from ..analysis.tables import render_table, to_csv
 from ..core.store import load_payload, save_payload
 
-__all__ = ["ExperimentResult", "scaled", "sweep_seeds"]
+__all__ = ["ExperimentResult", "scaled", "sweep_seeds", "unconverged_notes"]
 
 
 @dataclass
@@ -114,3 +114,17 @@ def sweep_seeds(seed: int, n: int, stride: int = 100) -> list[int]:
     as part of its work-unit identity in the orchestrator's results store.
     """
     return [seed * stride + s for s in range(n)]
+
+
+def unconverged_notes(measures: dict[str, dict]) -> list[str]:
+    """Flag the cells whose offline brackets missed the gap tolerance.
+
+    ``measures`` maps a cell key to its bracket-measurement payload
+    (:func:`~repro.analysis.measures_to_payload`); the result is empty
+    when every bracket converged, so converged tables are unchanged.
+    """
+    flagged = [f"{key} ({sum(not c for c in payload['opt_converged'])})"
+               for key, payload in measures.items() if not all(payload["opt_converged"])]
+    if not flagged:
+        return []
+    return ["UNCONVERGED offline brackets (valid but wide): " + ", ".join(flagged)]

@@ -2,8 +2,10 @@
 
 * :func:`solve_line` — exact 1-D grid DP (with certified error bracket);
 * :func:`solve_grid` — exact small 2-D grid DP;
-* :func:`convex_bracket` — relaxation lower bound + repaired feasible upper
-  bound, any dimension;
+* :func:`convex_bracket` — certified bracket of the capped program by a
+  primal–dual (PDHG) solve: the dual value below, the replayed cost of
+  the cap-repaired primal above, with its ``gap`` and ``converged`` flag;
+  any dimension, used from 2-D up (the line stays on :func:`solve_line`);
 * :func:`bracket_optimum` — method dispatch returning an
   :class:`OptBracket`.
 """

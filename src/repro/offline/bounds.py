@@ -3,13 +3,20 @@
 Experiments need a number for :math:`C_{Opt}`; this module picks the best
 available method per instance:
 
-* dimension 1 → exact grid DP (:mod:`repro.offline.dp_line`), tight;
-* dimension 2, tiny arena → exact grid DP (:mod:`repro.offline.dp_grid`);
-* otherwise → convex relaxation bracket (:mod:`repro.offline.convex`).
+* dimension 1 → exact grid DP (:mod:`repro.offline.dp_line`), fast and
+  tight; the primal–dual solver converges slowly on the line;
+* dimension 2, tiny arena → exact grid DP (:mod:`repro.offline.dp_grid`),
+  opt-in (E5's cross-check);
+* otherwise → the capped program's primal–dual certificate
+  (:mod:`repro.offline.convex`).
 
 The returned :class:`OptBracket` carries ``(lower, upper)`` with
 ``lower <= OPT <= upper`` so ratio computations can quote certified
-ranges: ``C_Alg / upper <= ratio <= C_Alg / lower``.
+ranges: ``C_Alg / upper <= ratio <= C_Alg / lower``.  It also carries the
+certificate's health: ``gap`` (``(upper − lower)/upper``), ``converged``
+(whether the solver reached its gap tolerance; always true for the exact
+DPs, whose gap is their grid resolution) and ``iterations``.  A bracket
+that did not converge is still a valid bracket, only a wider one.
 """
 
 from __future__ import annotations
@@ -39,23 +46,33 @@ class OptBracket:
         ``"convex"``).
     positions:
         A feasible trajectory achieving ``upper`` (``(T + 1, d)``).
+    gap:
+        ``(upper - lower) / upper`` (``0`` when ``upper`` is ``0``).
+    converged:
+        Whether the solver reached its gap tolerance (``True`` for the
+        exact DPs).
+    iterations:
+        Solver iterations (``0`` for the exact DPs).
     """
 
     lower: float
     upper: float
     method: str
     positions: np.ndarray
+    gap: float
+    converged: bool = True
+    iterations: int = 0
+
+    @classmethod
+    def exact(cls, lower: float, upper: float, method: str,
+              positions: np.ndarray) -> "OptBracket":
+        """A DP bracket: converged by construction, gap from its ends."""
+        gap = (upper - lower) / upper if upper > 0 else 0.0
+        return cls(lower, upper, method, positions, gap)
 
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
-
-    @property
-    def relative_gap(self) -> float:
-        """``(upper - lower) / upper`` (0 for exact methods on-grid)."""
-        if self.upper <= 0:
-            return 0.0
-        return (self.upper - self.lower) / self.upper
 
     def as_payload(self) -> dict:
         """Store-compatible payload (exact; arrays kept bit-for-bit)."""
@@ -64,6 +81,9 @@ class OptBracket:
             "upper": float(self.upper),
             "method": self.method,
             "positions": np.asarray(self.positions),
+            "gap": float(self.gap),
+            "converged": bool(self.converged),
+            "iterations": int(self.iterations),
         }
 
     @classmethod
@@ -73,6 +93,9 @@ class OptBracket:
             upper=payload["upper"],
             method=payload["method"],
             positions=payload["positions"],
+            gap=payload["gap"],
+            converged=payload["converged"],
+            iterations=payload["iterations"],
         )
 
 
@@ -88,9 +111,9 @@ def bracket_optimum(
     ----------
     prefer:
         Force a method: ``"dp-line"``, ``"dp-grid"`` or ``"convex"``.
-        Defaults to the best method for the dimension (DP for 1-D, convex
-        otherwise; ``"dp-grid"`` is opt-in because of its :math:`O(S^2)`
-        transition).
+        Defaults to the best method for the dimension (DP for 1-D, the
+        primal–dual certificate otherwise; ``"dp-grid"`` is opt-in because
+        of its :math:`O(S^2)` transition).
     """
     method = prefer
     if method is None:
@@ -98,11 +121,12 @@ def bracket_optimum(
 
     if method == "dp-line":
         res = solve_line(instance, grid_size=grid_size)
-        return OptBracket(res.lower_bound, res.cost, "dp-line", res.positions)
+        return OptBracket.exact(res.lower_bound, res.cost, "dp-line", res.positions)
     if method == "dp-grid":
         res2 = solve_grid(instance, grid_shape=grid_shape)
-        return OptBracket(res2.lower_bound, res2.cost, "dp-grid", res2.positions)
+        return OptBracket.exact(res2.lower_bound, res2.cost, "dp-grid", res2.positions)
     if method == "convex":
         cb = convex_bracket(instance)
-        return OptBracket(cb.lower, cb.upper, "convex", cb.feasible_positions)
+        return OptBracket(cb.lower, cb.upper, "convex", cb.feasible_positions,
+                          gap=cb.gap, converged=cb.converged, iterations=cb.iterations)
     raise ValueError(f"unknown method {method!r}")

@@ -54,14 +54,16 @@ class TestMeasureRatio:
 
 class TestCertify:
     def test_divides_cost_by_bracket_ends(self):
-        br = OptBracket(lower=2.0, upper=4.0, method="convex", positions=np.zeros((1, 1)))
+        br = OptBracket(lower=2.0, upper=4.0, method="convex", positions=np.zeros((1, 1)),
+                        gap=0.5, converged=False, iterations=7)
         meas = RatioMeasurement.certify(8, br, "mtc")
         assert meas == RatioMeasurement(cost=8.0, opt_lower=2.0, opt_upper=4.0,
-                                        ratio_lower=2.0, ratio_upper=4.0, algorithm="mtc")
+                                        ratio_lower=2.0, ratio_upper=4.0, opt_gap=0.5,
+                                        opt_converged=False, algorithm="mtc")
         assert isinstance(meas.cost, float)
 
     def test_zero_lower_bound_stays_finite(self):
-        br = OptBracket(lower=0.0, upper=1.0, method="dp-line", positions=np.zeros((1, 1)))
+        br = OptBracket.exact(lower=0.0, upper=1.0, method="dp-line", positions=np.zeros((1, 1)))
         meas = RatioMeasurement.certify(1.0, br)
         assert np.isfinite(meas.ratio_upper) and meas.ratio_upper > 1e299
         assert meas.ratio_lower == 1.0

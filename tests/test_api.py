@@ -328,6 +328,18 @@ class TestRunSemantics:
                      "--ratio", "bracket"]) == 2
         assert "bad scenario" in capsys.readouterr().err
 
+    def test_movement_only_rejects_bracket_ratio(self, capsys):
+        """The offline bracket bounds a serve-at-a-distance optimum; it must
+        not certify a movement-only cost against it."""
+        sc = Scenario.workload("random-walk", "mtc",
+                               params={"T": 30, "dim": 2, "D": 2.0, "m": 1.0},
+                               seeds=[0], ratio="bracket", cost_model="movement-only")
+        with pytest.raises(ValueError, match="'movement-only' cost model"):
+            run(sc)
+        assert main(["run", "--source", "random-walk", "-p", "T=30", "-p", "dim=2",
+                     "--cost-model", "movement-only", "--ratio", "bracket"]) == 2
+        assert "bad scenario" in capsys.readouterr().err
+
     def test_moving_client_source_lowers_to_msp(self):
         sc = Scenario.workload("patrol-agent", "mtc-moving-client",
                                params={"T": 15, "dim": 2, "m_agent": 0.8},

@@ -1,31 +1,42 @@
-"""Bit-for-bit parity of the vectorized offline bracket and Lemma-6 sampler.
+"""Certificates of the offline bracket, and bit-for-bit Lemma-6 parity.
 
-The relaxation objective in :mod:`repro.offline.convex` and the Figure-1
-sampler in :mod:`repro.analysis.lemma6` are array code over whole request
-stacks and whole draws.  Both must perform the same floating-point
-operations, in the same order, as the per-step and per-sample loops they
-replaced, which are kept below as the references.  Exact equality (``==``
-and ``np.array_equal``), never a tolerance: a last-ulp change in the
-objective moves the L-BFGS trajectory, hence every bracket and table.
+The offline bracket (:mod:`repro.offline.convex`) is tested for what it
+certifies rather than for the trajectory of a particular solver: weak
+duality (no dual value exceeds a feasible cost), nesting inside the exact
+line DP's bracket, and regression pins on instances where the former
+smoothed L-BFGS relaxation reported a "lower bound" above a cap-feasible
+cost.
+
+The solver's objective, dual value and iteration are array code over
+grouped request stacks; the objective-parity tests hold each to a
+per-step loop kept below as the reference.
+
+The Figure-1 sampler in :mod:`repro.analysis.lemma6` is array code over
+whole draws; it must perform the same floating-point operations, in the
+same order, as the per-sample loop it replaced, which is kept below as
+the reference.  Exact equality, never a tolerance.
 
 ``tests/data/golden_bracket.json`` pins the E5 and E17 tables (the two
-experiments built on the convex bracket) at ``scale=0.15, seed=1``,
-captured from the per-step loop before it was vectorized.
+experiments built on the convex bracket) at ``scale=0.15, seed=1``.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
-from repro.analysis import Lemma6Report, sample_lemma6
-from repro.core import MSPInstance, RequestSequence
+from repro.algorithms import MoveToCenter
+from repro.analysis import Lemma6Report, RatioMeasurement, sample_lemma6
+from repro.api import Scenario, build_instances, run
+from repro.core import MSPInstance, RequestSequence, replay_cost, simulate
+from repro.core.costs import CostModel
 from repro.experiments import EXPERIMENTS
-from repro.offline import convex_bracket, relaxed_lower_bound
-from repro.offline.convex import _group_steps, _objective_and_grad
-from repro.workloads import RandomWalkWorkload
+from repro.experiments.runner import unconverged_notes
+from repro.offline import OptBracket, bracket_optimum, convex_bracket, project_to_cap, solve_line
+from repro.offline import convex
+from repro.workloads import DriftWorkload, PatrolAgentWorkload, RandomWalkWorkload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_bracket.json"
 
@@ -33,52 +44,7 @@ with GOLDEN_PATH.open() as fh:
     GOLDEN = json.load(fh)
 
 
-# -- references: the loops the array code replaced ---------------------------
-
-
-def reference_objective_and_grad(flat, start, batches, D, eps, dim):
-    """The per-step smoothed cost and gradient (one step per iteration)."""
-    T = len(batches)
-    P = flat.reshape(T, dim)
-    prev = np.vstack([start[None, :], P[:-1]])
-    seg = P - prev
-    seg_norm = np.sqrt(np.einsum("ij,ij->i", seg, seg) + eps * eps)
-    cost = D * float(seg_norm.sum())
-    grad = np.zeros_like(P)
-    unit = seg / seg_norm[:, None]
-    grad += D * unit
-    grad[:-1] -= D * unit[1:]
-    for t, pts in enumerate(batches):
-        if pts.shape[0] == 0:
-            continue
-        d = P[t] - pts
-        dn = np.sqrt(np.einsum("ij,ij->i", d, d) + eps * eps)
-        cost += float(dn.sum())
-        grad[t] += (d / dn[:, None]).sum(axis=0)
-    return cost, grad.ravel()
-
-
-def reference_relaxed_lower_bound(instance, eps=1e-6, max_iter=2000):
-    """L-BFGS driven by the reference objective, else as the library does."""
-    T, dim = instance.length, instance.dim
-    batches = [instance.requests[t].points for t in range(T)]
-    init = np.empty((T, dim))
-    cur = np.asarray(instance.start, dtype=np.float64)
-    for t, pts in enumerate(batches):
-        if pts.shape[0]:
-            cur = pts.mean(axis=0)
-        init[t] = cur
-    n_terms = T + int(instance.requests.total_requests())
-    res = minimize(
-        reference_objective_and_grad,
-        init.ravel(),
-        args=(instance.start, batches, instance.D, eps, dim),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-10},
-    )
-    positions = np.vstack([instance.start[None, :], res.x.reshape(T, dim)])
-    return max(0.0, float(res.fun) - eps * n_terms), positions
+# -- references: the loops the array code is held to --------------------------
 
 
 def reference_config_geometry(a1, a2, s2, angle_polar, angle_azim, dim):
@@ -133,93 +99,339 @@ def reference_sample_lemma6(delta, n_samples, dim, rng, premise, acute_only,
                         min_slack=float(min_slack), min_slack_relative=float(min_rel))
 
 
+def _served_row(instance, t):
+    """Primal row (``P_{row+1}``) serving step ``t``; ``-1`` is the fixed start."""
+    return t if instance.cost_model.serves_after_move else t - 1
+
+
+def reference_objective(instance, x):
+    """Per-step cost of the primal ``P_1 … P_T`` (cap ignored), one request at a time."""
+    cost = 0.0
+    prev = instance.start
+    for t in range(instance.length):
+        cost += instance.D * float(np.linalg.norm(x[t] - prev))
+        prev = x[t]
+        row = _served_row(instance, t)
+        at = instance.start if row < 0 else x[row]
+        for v in instance.requests[t].points:
+            cost += float(np.linalg.norm(at - v))
+    return cost
+
+
+def reference_dual_value(instance, w):
+    """Per-step dual value of service duals ``w`` (one ``(r, d)`` array per
+    step; entries of steps served at the fixed start are ignored)."""
+    T, dim = instance.length, instance.dim
+    terms = []
+    attached = [np.zeros(dim) for _ in range(T)]
+    for t in range(T):
+        row = _served_row(instance, t)
+        for i, v in enumerate(instance.requests[t].points):
+            if row < 0:
+                terms.append(float(np.linalg.norm(instance.start - v)))
+            else:
+                attached[row] += w[t][i]
+                terms.append(-float(w[t][i] @ v))
+    u = np.zeros(dim)
+    for t in reversed(range(T)):
+        u = u - attached[t]
+        terms.append(-instance.m * max(0.0, float(np.linalg.norm(u)) - instance.D))
+    if T:
+        terms.append(-float(u @ instance.start))
+    return math.fsum(terms)
+
+
+def reference_pdhg(instance, n_iter, every=None):
+    """The PDHG iteration as a per-step, per-request loop.
+
+    Returns the service duals after ``n_iter`` iterations (one ``(r, d)``
+    array per step) and, when ``every`` is given, the duals seen every
+    ``every`` iterations.
+    """
+    T, dim = instance.length, instance.dim
+    start, D, m = instance.start, instance.D, instance.m
+    batches = [instance.requests[t].points for t in range(T)]
+    served = [t for t in range(T) if _served_row(instance, t) >= 0 and batches[t].shape[0]]
+    step = 0.99 / math.sqrt(4.0 + max((batches[t].shape[0] for t in served), default=0))
+    x = np.empty((T, dim))
+    cur = np.asarray(start, dtype=np.float64)
+    for t in range(T):
+        if batches[t].shape[0]:
+            cur = batches[t].mean(axis=0)
+        x[t] = cur
+    x_bar = x.copy()
+    y = np.zeros((T, dim))
+    w = [np.zeros_like(b) for b in batches]
+    seen = []
+    for it in range(1, n_iter + 1):
+        kty = np.zeros((T, dim))
+        for t in range(T):
+            y[t] += step * (x_bar[t] - (x_bar[t - 1] if t else start))
+            norm = float(np.linalg.norm(y[t]))
+            if norm > 0.0:
+                y[t] *= min(max(norm - step * m, D), norm) / norm
+        for t in range(T):
+            kty[t] += y[t] - (y[t + 1] if t + 1 < T else 0.0)
+        for t in served:
+            row = _served_row(instance, t)
+            for i, v in enumerate(batches[t]):
+                w[t][i] += step * (x_bar[row] - v)
+                w[t][i] /= max(1.0, float(np.linalg.norm(w[t][i])))
+                kty[row] += w[t][i]
+        x_new = x - step * kty
+        x_bar = 2.0 * x_new - x
+        x = x_new
+        if every and it % every == 0:
+            seen.append([wt.copy() for wt in w])
+    return w, seen
+
+
 # -- objective parity ---------------------------------------------------------
-
-
-RAGGED_COUNTS = [0, 1, 2, 3, 5, 8, 9, 16, 17]  # r >= 8 takes numpy's unrolled pairwise sum
+#
+# The solver's objective, dual value and iteration are array code over the
+# grouped request stacks of ``_group_steps`` (ragged counts, empty steps and
+# the answer-first shift included); each must agree with the per-step loops
+# above.  The vectorized sums round differently from the loops, so values
+# are compared to a few ulps of the instance's term magnitude.
 
 
 def _sequence(counts, dim, rng):
     return RequestSequence([rng.normal(size=(int(r), dim)) * 3.0 for r in counts], dim=dim)
 
 
-def _assert_objective_parity(seq, rng, D=2.0, eps=1e-6, n_points=4):
+def _per_group(program, instance, w_steps):
+    """Per-step duals ``w_steps`` in the library's grouped layout."""
+    shift = 0 if instance.cost_model.serves_after_move else 1
+    steps = np.arange(instance.length)
+    return [np.stack([w_steps[row + shift] for row in steps[rows]]) for rows, _ in program.groups]
+
+
+def _certified(program, value):
+    """``value`` less :meth:`_Program.dual_bound`'s stated rounding slack."""
+    inst = program.instance
+    K = program.n_requests + inst.length + inst.dim + 2
+    gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+    return max(0.0, value - 3.0 * gamma * program.magnitude)
+
+
+def _assert_objective_parity(seq, rng, monkeypatch, D=2.0, m=1.0, n_points=4):
     dim, T = seq.dim, seq.length
     start = rng.normal(size=dim)
-    batches = [seq[t].points for t in range(T)]
-    groups = _group_steps(seq)
-    for _ in range(n_points):
-        flat = rng.normal(size=T * dim) * 2.0
-        cost_ref, grad_ref = reference_objective_and_grad(flat, start, batches, D, eps, dim)
-        cost, grad = _objective_and_grad(flat, start, groups, D, eps, dim)
-        assert cost == cost_ref
-        assert np.array_equal(grad, grad_ref)
+    for model in ("move-first", "answer-first"):
+        inst = MSPInstance(seq, start=start, D=D, m=m, cost_model=CostModel(model))
+        program = convex._Program(inst)
+        tol = 1e-13 * max(1.0, program.magnitude)
+        for _ in range(n_points):
+            x = rng.normal(size=(T, dim)) * 2.0
+            assert program.objective(x) == pytest.approx(reference_objective(inst, x), abs=tol)
+            w = [_random_unit_ball(seq[t].points.shape, rng) for t in range(T)]
+            assert program.dual_bound(_per_group(program, inst, w)) == pytest.approx(
+                _certified(program, reference_dual_value(inst, w)), abs=tol)
+        # One certificate round of the vectorized iteration against the loop.
+        with monkeypatch.context() as mp:
+            mp.setattr(convex, "BUDGET", convex.CHECK_EVERY)
+            res = convex.minimize(inst)
+        assert res.nit in (0, convex.CHECK_EVERY)
+        w_ref, _ = reference_pdhg(inst, res.nit)
+        assert res.lower == pytest.approx(
+            _certified(program, reference_dual_value(inst, w_ref)), abs=tol)
+        assert 0.0 <= res.lower <= res.fun
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 4, 8, 9, 17])
-def test_objective_parity_uniform(dim, r):
+def test_objective_parity_uniform(dim, r, monkeypatch):
     rng = np.random.default_rng(100 * dim + r)
     seq = _sequence([r] * 40, dim, rng)
     assert seq.is_uniform
-    _assert_objective_parity(seq, rng)
+    _assert_objective_parity(seq, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(12))
-def test_objective_parity_ragged(dim, seed):
+def test_objective_parity_ragged(dim, seed, monkeypatch):
     rng = np.random.default_rng(seed)
     T = int(rng.integers(2, 60))
     seq = _sequence(rng.choice(RAGGED_COUNTS, size=T), dim, rng)
-    _assert_objective_parity(seq, rng, D=float(rng.uniform(0.5, 4.0)),
-                             eps=float(rng.choice([1e-6, 1e-3])))
+    _assert_objective_parity(seq, rng, monkeypatch, D=float(rng.uniform(1.0, 4.0)),
+                             m=float(rng.uniform(0.3, 1.5)))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_objective_parity_all_empty(dim):
+def test_objective_parity_all_empty(dim, monkeypatch):
     rng = np.random.default_rng(dim)
     seq = RequestSequence([np.empty((0, dim))] * 7, dim=dim)
-    assert _group_steps(seq) == []
-    _assert_objective_parity(seq, rng)
+    assert convex._group_steps(seq) == []
+    _assert_objective_parity(seq, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("r", [0, 1, 9])
-def test_objective_parity_single_step(dim, r):
+def test_objective_parity_single_step(dim, r, monkeypatch):
     rng = np.random.default_rng(r + dim)
-    _assert_objective_parity(_sequence([r], dim, rng), rng)
+    _assert_objective_parity(_sequence([r], dim, rng), rng, monkeypatch)
 
 
 @pytest.mark.parametrize("dim", [5, 8])
-def test_objective_parity_high_dimension(dim):
-    """E17 solves the relaxation up to d = 8."""
+def test_objective_parity_high_dimension(dim, monkeypatch):
+    """E17 solves the capped program up to d = 8."""
     rng = np.random.default_rng(dim)
-    _assert_objective_parity(_sequence(rng.choice(RAGGED_COUNTS, size=30), dim, rng), rng)
+    _assert_objective_parity(_sequence(rng.choice(RAGGED_COUNTS, size=30), dim, rng), rng,
+                             monkeypatch)
 
 
-def test_e5_sized_solve_matches_reference_and_reports_the_cap():
-    """An E5-shaped instance: the whole L-BFGS trajectory is unchanged, and
-    like E5's benign instances it stops at the cap, so the bound is not
-    certified."""
+def test_e5_sized_solve_matches_reference_and_reports_the_cap(monkeypatch):
+    """An E5-shaped instance: one certificate round matches the loop, a solve
+    cut at its budget is flagged, and the full solve converges."""
     wl = RandomWalkWorkload(100, dim=2, D=2.0, m=1.0, sigma=0.3, spread=0.4,
                             requests_per_step=4)
     inst = wl.generate(np.random.default_rng(5))
+    program = convex._Program(inst)
+    with monkeypatch.context() as mp:
+        mp.setattr(convex, "BUDGET", convex.CHECK_EVERY)
+        capped = convex.minimize(inst)
+    assert capped.status == 1 and not capped.success and capped.nit == convex.CHECK_EVERY
+    assert capped.gap > convex.TOL and 0.0 < capped.lower <= capped.fun
+    w_ref, _ = reference_pdhg(inst, capped.nit)
+    assert capped.lower == pytest.approx(
+        _certified(program, reference_dual_value(inst, w_ref)),
+        abs=1e-13 * program.magnitude)
     cb = convex_bracket(inst)
-    lower_ref, positions_ref = reference_relaxed_lower_bound(inst)
-    assert cb.lower == min(lower_ref, cb.upper)
-    assert np.array_equal(cb.relaxed_positions, positions_ref)
-    assert cb.converged is False
-    assert cb.iterations == 2000
+    assert cb.converged and cb.gap <= convex.TOL and cb.iterations < convex.BUDGET
+    assert cb.lower >= capped.lower and cb.upper <= capped.fun
 
 
 def test_relaxed_lower_bound_matches_reference_ragged():
+    """A whole solve: the bound is the best certificate of the loop iteration,
+    and the trajectory is cap-feasible and replays to the bracket's upper end."""
     rng = np.random.default_rng(11)
     seq = _sequence(rng.choice(RAGGED_COUNTS, size=12), 2, rng)
     inst = MSPInstance(seq, start=np.zeros(2), D=2.0, m=1.0)
-    lower, positions = relaxed_lower_bound(inst)
-    lower_ref, positions_ref = reference_relaxed_lower_bound(inst)
-    assert lower == lower_ref
-    assert np.array_equal(positions, positions_ref)
+    lower, positions = convex.relaxed_lower_bound(inst)
+    cb = convex_bracket(inst)
+    assert lower == cb.lower and np.array_equal(positions, cb.feasible_positions)
+    assert cb.converged
+    program = convex._Program(inst)
+    _, seen = reference_pdhg(inst, cb.iterations, every=convex.CHECK_EVERY)
+    lower_ref = max(_certified(program, reference_dual_value(inst, w)) for w in seen)
+    assert lower == pytest.approx(lower_ref, rel=1e-9)
+    assert replay_cost(inst, positions, validate_cap=inst.m).total_cost == cb.upper
+
+
+# -- certificates -------------------------------------------------------------
+
+
+RAGGED_COUNTS = [0, 1, 2, 3, 5, 8, 9, 17]
+
+
+def _ragged_instance(dim, seed, cost_model="move-first", T=25):
+    rng = np.random.default_rng(seed)
+    counts = rng.choice(RAGGED_COUNTS, size=T)
+    walk = np.cumsum(rng.normal(scale=0.8, size=(T, dim)), axis=0)
+    seq = RequestSequence([walk[t] + rng.normal(size=(int(r), dim)) for t, r in enumerate(counts)],
+                          dim=dim)
+    return MSPInstance(seq, start=rng.normal(size=dim), D=float(rng.uniform(1.0, 4.0)),
+                       m=float(rng.uniform(0.3, 1.5)), cost_model=CostModel(cost_model))
+
+
+def _random_unit_ball(shape, rng):
+    w = rng.normal(size=shape)
+    norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    radii = rng.choice([1.0, rng.uniform()], size=norms.shape)  # on the sphere and inside
+    return w / norms * radii
+
+
+@pytest.mark.parametrize("cost_model", ["move-first", "answer-first"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_weak_duality_for_random_unit_duals(dim, seed, cost_model):
+    """No dual value exceeds the cost of a cap-feasible trajectory: MtC's, or
+    ``project_to_cap`` of an arbitrary target path."""
+    inst = _ragged_instance(dim, seed, cost_model)
+    rng = np.random.default_rng(1000 + seed)
+    mtc = simulate(inst, MoveToCenter(), delta=0.0)
+    targets = np.cumsum(rng.normal(scale=2.0, size=(inst.length, dim)), axis=0)
+    repaired = project_to_cap(targets, inst.start, inst.m)
+    feasible = [replay_cost(inst, mtc.positions, validate_cap=inst.m).total_cost,
+                replay_cost(inst, repaired, validate_cap=inst.m).total_cost]
+    program = convex._Program(inst)
+    for _ in range(20):
+        W = [_random_unit_ball(pts.shape, rng) for _, pts in program.groups]
+        assert program.dual_bound(W) <= min(feasible)
+    cb = convex_bracket(inst)
+    assert cb.converged and cb.lower <= cb.upper <= min(feasible) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("cost_model", ["move-first", "answer-first"])
+@pytest.mark.parametrize("source,seed", [("walk", 0), ("walk", 2), ("drift", 0), ("drift", 2)])
+def test_pdhg_bracket_nests_in_dp_line(source, seed, cost_model):
+    """On the line both brackets hold the optimum; the PDHG one, at a 1e-6 gap,
+    lies inside the grid DP's."""
+    wl = (RandomWalkWorkload(30, dim=1, D=2.0, m=1.0) if source == "walk"
+          else DriftWorkload(30, dim=1, D=2.0, m=1.0))
+    inst = wl.generate(np.random.default_rng(seed)).with_cost_model(CostModel(cost_model))
+    cb = convex_bracket(inst)
+    dp = solve_line(inst)
+    assert cb.converged and cb.gap <= convex.TOL
+    assert dp.lower_bound <= cb.lower <= cb.upper <= dp.cost
+
+
+def test_e5_spot_check_pin_sits_below_the_old_lower_bound():
+    """E5's seed-1 spot check (scale 0.15): L-BFGS reported lower = 16.11468979…,
+    above a cap-feasible cost the certified solve finds."""
+    wl = RandomWalkWorkload(20, dim=2, D=2.0, m=1.0, sigma=0.3, spread=0.3, requests_per_step=2)
+    cb = convex_bracket(wl.generate(np.random.default_rng(1)))
+    assert cb.converged and cb.gap <= convex.TOL
+    assert cb.lower <= cb.upper < 16.114689
+
+
+def test_e8_spot_pin_sits_below_the_old_lower_bound():
+    """E8's 2-D patrol instance (scale 0.15, seed 1): L-BFGS reported
+    lower = 173.1644…"""
+    wl = PatrolAgentWorkload(50, dim=2, D=4.0, m_server=1.0, m_agent=1.0, arena=15.0)
+    cb = convex_bracket(wl.generate(np.random.default_rng(1)).as_msp())
+    assert cb.converged and cb.gap <= convex.TOL
+    assert cb.lower <= cb.upper < 173.1644
+
+
+def test_budget_hit_is_flagged_through_to_the_run_result(monkeypatch):
+    scenario = Scenario.workload("random-walk", "mtc", params={"T": 40, "dim": 2},
+                                 seeds=[3, 4], ratio="bracket")
+    instances, _ = build_instances(scenario)
+    brackets = []
+    monkeypatch.setattr(convex, "BUDGET", 50)
+    for inst in instances:
+        res = convex.minimize(inst)
+        assert res.status == 1 and not res.success and res.nit == 50
+        assert 0.0 <= res.lower <= res.fun and res.gap > convex.TOL
+        brackets.append(OptBracket(res.lower, res.fun, "convex", res.x, gap=res.gap,
+                                   converged=res.success, iterations=res.nit))
+    monkeypatch.undo()
+    measure = RatioMeasurement.certify(1.0, brackets[0])
+    assert measure.opt_converged is False and measure.opt_gap == brackets[0].gap
+    result = run(scenario, brackets=brackets)
+    assert result.unconverged == 2
+    assert "UNCONVERGED" in result.summary()
+    assert unconverged_notes({"walk": result.as_payload()["measures"]}) == [
+        "UNCONVERGED offline brackets (valid but wide): walk (2)"]
+    converged = run(scenario)
+    assert converged.unconverged == 0
+    assert unconverged_notes({"walk": converged.as_payload()["measures"]}) == []
+
+
+def test_dual_value_above_a_feasible_cost_raises(monkeypatch):
+    """A broken certificate is an error, never clipped into an ordered bracket."""
+    inst = _ragged_instance(2, 0)
+    monkeypatch.setattr(convex._Program, "dual_bound", lambda self, W: 1e9)
+    with pytest.raises(ArithmeticError, match="certificate is broken"):
+        convex_bracket(inst)
+
+
+def test_movement_only_program_stays_put():
+    inst = _ragged_instance(2, 1, "movement-only")
+    br = bracket_optimum(inst)
+    assert (br.lower, br.upper, br.converged, br.iterations) == (0.0, 0.0, True, 0)
+    assert np.array_equal(br.positions, np.repeat(inst.start[None, :], inst.length + 1, axis=0))
 
 
 # -- solver health ------------------------------------------------------------
@@ -229,14 +441,14 @@ def test_small_solve_reports_convergence():
     wl = RandomWalkWorkload(6, dim=2, D=2.0, m=1.0, sigma=0.3, spread=0.4,
                             requests_per_step=4)
     cb = convex_bracket(wl.generate(np.random.default_rng(0)))
-    assert cb.converged
-    assert 0 < cb.iterations < 2000
+    assert cb.converged and cb.gap <= convex.TOL
+    assert 0 < cb.iterations < convex.BUDGET
 
 
 def test_empty_instance_is_trivially_converged():
     inst = MSPInstance(RequestSequence([], dim=2), start=np.zeros(2))
     cb = convex_bracket(inst)
-    assert cb.converged and cb.iterations == 0 and cb.lower == 0.0
+    assert cb.converged and cb.iterations == 0 and cb.lower == 0.0 and cb.gap == 0.0
 
 
 # -- Lemma-6 parity -----------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.store import ResultsStore
+from repro.core.store import ResultsStore, digest_key
 from repro.experiments import run_all_detailed
 from repro.experiments.executors import (
     EXECUTOR_NAMES,
@@ -487,6 +487,24 @@ class TestExecutorParity:
                                                     poll=0.01, timeout=60))
         assert (report.computed, report.cached) == (4, 0)
         assert len(list(work.iterdir())) == 4  # every cell truly re-ran
+
+    def test_superseded_entry_is_recomputed_by_the_workers(self, tmp_path):
+        """An entry the cache scan reads as a miss (a bracket record
+        without its certificate) must wait for the worker's fresh payload,
+        not count as delivered or as unreadable."""
+        work = tmp_path / "work"
+        work.mkdir()
+        store = ResultsStore(tmp_path / "store")
+        execute([_spec(str(work))], store=store)
+        digest = digest_key(f"{_MODULE}:cell_value", {"value": 1.0, "workdir": str(work)})
+        store.save(digest, {"value": 99.0, "arr": np.zeros(4), "opt_lower": 1.0})
+        with _WorkerThreads(tmp_path / "spool", store, count=1):
+            report = execute([_spec(str(work))], store=store,
+                             executor=SpoolExecutor(tmp_path / "spool", poll=0.01,
+                                                    timeout=60))
+        assert (report.computed, report.cached) == (1, 3)
+        assert report.timings["EX/value/1.0"] > 0.0  # from the worker's done-ack
+        assert store.load(digest)["value"] == 1.0
 
 
 class TestSpoolExecutorErrors:

@@ -202,4 +202,6 @@ class TestBracketOptimum:
 
     def test_relative_gap(self, line_instance):
         br = bracket_optimum(line_instance)
-        assert 0.0 <= br.relative_gap <= 1.0
+        assert 0.0 <= br.gap <= 1.0
+        assert br.gap == (br.upper - br.lower) / br.upper
+        assert br.converged and br.iterations == 0

@@ -157,6 +157,15 @@ class TestReplayCost:
         rp = replay_cost(inst, positions)
         assert rp.total_cost == pytest.approx(0 + 1 + 2 + 3)
 
+    def test_movement_only_charges_no_service(self):
+        """Same accounting as ``simulate``: a movement-only replay of an
+        algorithm's trajectory costs exactly its movement."""
+        inst = _instance(model=CostModel.MOVEMENT_ONLY)
+        tr = simulate(inst, MoveToCenter(), delta=0.5)
+        rp = replay_cost(inst, tr.positions)
+        assert not rp.service_costs.any()
+        assert rp.total_cost == tr.total_cost == tr.total_movement_cost
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="positions"):
             replay_cost(_instance(), np.zeros((2, 1)))

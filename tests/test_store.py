@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import Scenario, run_many
 from repro.core.store import (
+    MISSING,
     ResultsStore,
     digest_key,
     load_payload,
@@ -109,6 +111,40 @@ class TestResultsStore:
         store = ResultsStore(tmp_path / "nope")
         assert len(store) == 0
         assert "0" * 64 not in store
+
+
+class TestSupersededBrackets:
+    """Entries whose offline brackets predate their certificate fields are
+    read as misses (same address, recomputed in place), never served."""
+
+    OLD_BRACKET = {"lower": 1.0, "upper": 2.0, "method": "convex",
+                   "positions": np.zeros((3, 2))}
+
+    def test_old_bracket_payload_is_a_miss_and_stays_on_disk(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        digest = digest_key("repro.api.runtime:cell_brackets", {"seeds": [0]})
+        store.save(digest, {"brackets": [self.OLD_BRACKET]})
+        assert store.load_or_none(digest, MISSING) is MISSING
+        assert digest in store
+        current = dict(self.OLD_BRACKET, gap=0.5, converged=True, iterations=3)
+        store.save(digest, {"brackets": [current]})
+        assert store.load_or_none(digest, MISSING)["brackets"][0]["gap"] == 0.5
+
+    def test_old_measurement_record_recomputes_in_run_many(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        sc = Scenario.workload("random-walk", "mtc", params={"T": 12, "dim": 2},
+                               seeds=[0, 1], delta=0.5, ratio="bracket")
+        fresh = run_many([sc], store=store)[0]
+        old = fresh.as_payload()
+        for key in ("opt_gap", "opt_converged"):
+            del old["measures"][key]
+        old["measures"]["opt_lower"] = old["measures"]["opt_lower"] * 2.0  # a stale number
+        store.save(sc.digest(), old)
+        again = run_many([sc], store=store)[0]
+        assert not again.cached
+        assert [m.opt_lower for m in again.measurements] == [m.opt_lower for m in fresh.measurements]
+        assert "opt_gap" in store.load(sc.digest())["measures"]
+        assert run_many([sc], store=store)[0].cached
 
 
 class TestExperimentResultPersistence:
