@@ -73,11 +73,17 @@ FUSED_ALGORITHMS = ("greedy-centroid", "nearest-chaser", "static")
 #: and step plus per-lane Python dispatch, so it is orders of magnitude
 #: slower than the time-major kernels above — a short horizon keeps the
 #: loop baseline affordable while B=256 (the acceptance point) still
-#: exercises the cross-lane solver at full width.
+#: exercises the cross-lane solver at full width.  Two request shapes: a
+#: pair per step, whose median segment has a closed form, and E5's
+#: 4-request random walk in the plane, which runs the numeric solver
+#: (vertex test and Newton) on every step.
 MEDIAN_T = 32
 MEDIAN_B = 256
-MEDIAN_CONFIG = {"workload": "drift", "dim": 2, "requests_per_step": 2,
-                 "delta": 0.5, "T": MEDIAN_T}
+MEDIAN_CONFIGS = (
+    {"workload": "drift", "dim": 2, "requests_per_step": 2, "delta": 0.5, "T": MEDIAN_T},
+    {"workload": "random-walk", "dim": 2, "requests_per_step": 4, "delta": 0.5,
+     "T": MEDIAN_T},
+)
 MEDIAN_ALGORITHMS = ("mtc", "follow-last")
 
 _TRACE_FIELDS = ("positions", "movement_costs", "service_costs",
@@ -215,21 +221,21 @@ def measure_fused_grid(progress=None) -> list[dict]:
 def measure_median_grid(progress=None) -> list[dict]:
     """MtC/follow fused-vs-loop rows at the B=256 acceptance point."""
     rows = []
-    for name in MEDIAN_ALGORITHMS:
-        # The per-step loop baseline costs tens of seconds per run at
-        # this width, so fewer (still interleaved) rounds than the
-        # time-major grid.
-        row = measure_fused(name, MEDIAN_CONFIG, MEDIAN_B,
-                            rounds=2, fused_reps=3)
-        rows.append(row)
-        if progress is not None:
-            progress(
-                f"{row['workload']}/d={row['dim']}/r={row['requests_per_step']}"
-                f"/delta={row['delta']} {row['algorithm']:16s} B={row['B']:>3}: "
-                f"loop {row['loop_steps_per_sec']:>12,.0f}/s  "
-                f"fused {row['fused_steps_per_sec']:>12,.0f}/s  "
-                f"{row['speedup']:.2f}x"
-            )
+    for config in MEDIAN_CONFIGS:
+        for name in MEDIAN_ALGORITHMS:
+            # The per-step loop baseline costs seconds per run at this
+            # width, so fewer (still interleaved) rounds than the
+            # time-major grid.
+            row = measure_fused(name, config, MEDIAN_B, rounds=2, fused_reps=3)
+            rows.append(row)
+            if progress is not None:
+                progress(
+                    f"{row['workload']}/d={row['dim']}/r={row['requests_per_step']}"
+                    f"/delta={row['delta']} {row['algorithm']:16s} B={row['B']:>3}: "
+                    f"loop {row['loop_steps_per_sec']:>12,.0f}/s  "
+                    f"fused {row['fused_steps_per_sec']:>12,.0f}/s  "
+                    f"{row['speedup']:.2f}x"
+                )
     return rows
 
 
@@ -238,8 +244,9 @@ def _best_fused(rows: list[dict]) -> dict:
     return max(at_256, key=lambda r: r["speedup"])
 
 
-def _median_row(rows: list[dict], name: str) -> dict:
-    return next(r for r in rows if r["algorithm"] == name and r["B"] == MEDIAN_B)
+def _median_row(rows: list[dict], name: str, workload: str = "drift") -> dict:
+    return next(r for r in rows if r["algorithm"] == name and r["B"] == MEDIAN_B
+                and r["workload"] == workload)
 
 
 def write_report(rows: list[dict], median_rows: list[dict],

@@ -42,8 +42,9 @@ class MoveToCenter(OnlineAlgorithm):
         in ``(0, 1]`` forces a fixed damping factor instead (ablation).
     tie_break:
         ``"closest"`` (paper): among several minimizers pick the one
-        closest to the server.  ``"weiszfeld"``: always run the numeric
-        solver (arbitrary representative for degenerate batches).
+        closest to the server.  ``"weiszfeld"``: always call
+        :func:`repro.median.weiszfeld`, whose representative of a
+        minimizing segment is the point closest to the batch centroid.
         ``"midpoint"``: pick the midpoint of the minimizing segment.
     cap_fraction:
         Fraction of the granted movement cap actually used, in ``(0, 1]``

@@ -1,41 +1,56 @@
-"""Cross-lane batched geometric-median solver.
+"""Cross-lane certified geometric-median solver.
 
-:func:`batched_request_center` answers ``B`` independent
-:func:`repro.median.request_center` queries — one ``(r, d)`` request batch
-and one server position per lane — in whole-batch NumPy passes, and is the
-engine of the fused median-family step kernels
-(:mod:`repro.core.kernels`).  Per lane it is **bit-identical** to the
-scalar solver: every case of the scalar routing is replayed with the same
-float64 operations in the same order.
+:func:`certified_medians` solves ``B`` independent geometric medians — one
+``(r, d)`` request batch and one start per lane — in whole-batch NumPy
+passes.  It is the only numeric median solver in the package: the scalar
+:func:`repro.median.weiszfeld` is this function at ``B = 1``, and
+:func:`batched_request_center` (the engine of the fused median-family step
+kernels, :mod:`repro.core.kernels`) answers ``B``
+:func:`repro.median.request_center` queries through it.
 
-How bit-parity is achieved
---------------------------
+Per lane the solve has three stages:
 
-* the exact-case routing (``median_single`` / ``median_pair`` /
-  coincident / collinear) is reproduced from the same centred SVD the
-  scalar :func:`repro.median.exact.collinearity_frame` uses — LAPACK
-  factors each matrix of a stacked ``(B, r, d)`` SVD exactly as it
-  factors the matrix alone;
+1. **Closed forms.**  Lanes whose minimizing set is a segment or a point
+   (``r <= 2``, collinear or coincident requests, the
+   :func:`batched_median_set` routing) return the minimizer closest to
+   their start.
+2. **Kuhn's vertex test.**  If the unique median of a non-collinear lane is
+   a data point, it is the data point of least Weber cost, and it is
+   optimal iff the unit-vector pull of the other points has norm at most
+   its multiplicity (Kuhn 1973).  Such lanes return that point exactly.
+   The costs are computed a block of candidates at a time, so memory stays
+   linear in ``r`` for large pooled windows.
+3. **Safeguarded Newton.**  The remaining lanes iterate Newton steps on
+   the Hessian ``Σ (I − u_i u_iᵀ)/d_i`` with an Armijo backtrack, falling
+   back to one Weiszfeld (Vardi–Zhang on a data point) step when the
+   backtrack fails.  They stop on a vanishing gradient or a tiny *full*
+   step, and converge quadratically; a lane that exhausts ``max_iter``
+   raises :class:`ArithmeticError` instead of returning an unconverged
+   point.
+
+Bit-parity
+----------
+
+Every operation is per lane: reductions run over the ``r`` or ``d`` axis
+of one lane, the stacked ``np.linalg.solve`` and SVD factor each matrix as
+they would factor it alone, and lanes leave the active set independently.
+A lane therefore gets the same bits in any stack, which is what makes the
+scalar solver and the fused kernels agree exactly:
+
+* the exact-case routing reproduces the scalar
+  :func:`repro.median.exact.collinearity_frame` from the same centred SVD;
 * scalar ``np.dot`` contractions (the segment projection in
-  ``MedianSet.closest_point_to``, Weiszfeld's convergence test) go
-  through BLAS ``ddot``, whose FMA accumulation differs from ``einsum``
-  — the batched path reproduces them with vector-shaped ``matmul``
-  (``(B, 1, d) @ (B, d, 1)``), which NumPy routes to the same ``ddot``
-  per lane;
+  ``MedianSet.closest_point_to``) go through BLAS ``ddot``, whose FMA
+  accumulation differs from ``einsum`` — the batched path reproduces them
+  with vector-shaped ``matmul`` (``(B, 1, d) @ (B, d, 1)``), which NumPy
+  routes to the same ``ddot`` per lane;
 * line projections ``(points - origin) @ u`` become stacked GEMV calls
-  (``(B, r, d) @ (B, d, 1)``), again the same BLAS routine per lane;
-* all ``r``-axis reductions run over a contiguous trailing axis so
-  NumPy's pairwise blocking matches the scalar ``(r, d)`` sums;
-* Weiszfeld lanes iterate under an active mask (converged lanes drop
-  out, exactly like the scalar early ``break``); the rare lanes that
-  land *on* a data point mid-iteration — the Vardi–Zhang branch — are
-  replayed through the scalar solver from the same start, which
-  reproduces the batched prefix bit-for-bit and then finishes with the
-  scalar safeguard.
+  (``(B, r, d) @ (B, d, 1)``), again the same BLAS routine per lane.
 
 ``tests/test_median_batched.py`` asserts equality with the per-lane
 scalar solver over degenerate grids (r ∈ {1, 2, 3, ...}, duplicated
-points, collinear stacks, warm starts on and off).
+points, collinear stacks, warm starts on and off) and checks each answer
+against Kuhn's optimality condition.
 """
 
 from __future__ import annotations
@@ -44,13 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weiszfeld import weiszfeld
-
 __all__ = [
     "BatchedMedianSet",
+    "CertifiedMedians",
     "batched_median_set",
     "batched_request_center",
     "batched_weiszfeld",
+    "certified_medians",
 ]
 
 
@@ -164,20 +179,163 @@ def batched_median_set(points: np.ndarray, atol: float = 1e-9) -> BatchedMedianS
     return BatchedMedianSet(a, b, numeric)
 
 
-def batched_weiszfeld(
+#: Armijo constant of the Newton line search.
+_ARMIJO = 1e-4
+#: Step fractions the line search tries, largest first; a lane that none
+#: of them satisfies takes one Weiszfeld step instead.
+_FRACTIONS = np.array([1.0, 0.5, 0.25])
+#: Per-request (sub)gradient tolerance: a point whose minimum-norm
+#: subgradient has norm at most ``_GTOL * r`` is accepted as the median,
+#: which for a data point is Kuhn's test.
+_GTOL = 1e-12
+#: Rounding allowance of one Weber-cost evaluation, per request and unit
+#: of coordinate scale: trial costs within it count as no increase.
+_ROUND = 16 * np.finfo(np.float64).eps
+#: Points closer than this fraction of a lane's largest coordinate count
+#: as coincident.
+_COINCIDE = 1e-14
+#: Element budget of one ``(n, c, r, d)`` block of vertex costs.
+_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class CertifiedMedians:
+    """Per-lane outcome of :func:`certified_medians`.
+
+    ``iterations[i]`` counts lane ``i``'s Newton or Weiszfeld steps (0 for
+    closed-form and vertex lanes); ``on_vertex[i]`` is True when the
+    returned point is one of the lane's data points.
+    """
+
+    points: np.ndarray
+    iterations: np.ndarray
+    on_vertex: np.ndarray
+
+
+def _vertex_costs(points: np.ndarray) -> np.ndarray:
+    """``(n, r)`` Weber cost of every data point, a block of candidates at
+    a time so that memory stays bounded for large pooled windows."""
+    n, r, d = points.shape
+    cost = np.empty((n, r))
+    c = max(1, _BLOCK // (n * r * d))
+    for j in range(0, r, c):
+        diff = points[:, None, :, :] - points[:, j:j + c, None, :]
+        cost[:, j:j + c] = np.sqrt(np.einsum("ncrd,ncrd->ncr", diff, diff)).sum(axis=2)
+    return cost
+
+
+def _pull(points: np.ndarray, y: np.ndarray, atol: np.ndarray):
+    """The Weber terms at per-lane iterates ``y``.
+
+    Returns the distances, the inverse distances of the points off ``y``
+    (0 for points on it), their unit vectors ``u_i``, the pull ``Σ u_i``
+    (the negative gradient) and the multiplicity of points on ``y``.
+    """
+    diff = points - y[:, None, :]
+    dist = np.sqrt(np.einsum("nrd,nrd->nr", diff, diff))
+    on = dist <= atol[:, None]
+    inv = np.divide(1.0, dist, out=np.zeros_like(dist), where=~on)
+    u = diff * inv[:, :, None]
+    return dist, inv, u, u.sum(axis=1), on.sum(axis=1)
+
+
+def _newton_directions(hess: np.ndarray, pull: np.ndarray) -> np.ndarray:
+    """``hess⁻¹ · pull`` per lane; lanes with a singular Hessian get NaN
+    (their line search then fails and they take a Weiszfeld step)."""
+    try:
+        return np.linalg.solve(hess, pull[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(pull.shape, np.nan)
+        for i in range(pull.shape[0]):
+            try:
+                out[i] = np.linalg.solve(hess[i:i + 1], pull[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton(points: np.ndarray, y: np.ndarray, scale: np.ndarray, tol: float,
+            max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded Newton on lanes whose unique median is no data point.
+
+    Each step solves the Hessian ``Σ (I − u_i u_iᵀ)/d_i`` against the pull
+    ``Σ u_i`` and backtracks over :data:`_FRACTIONS`.  A lane that no
+    fraction satisfies, or whose iterate sits on a data point, takes one
+    Weiszfeld step ``pull / Σ 1/d_i`` instead, damped on a data point by the
+    Vardi–Zhang factor ``1 − multiplicity/‖pull‖``.  A lane stops when
+    ``‖pull‖ <= _GTOL·r``, or when its full Newton step (its Vardi–Zhang
+    step on a data point) is at most ``tol·scale``; that step is then
+    taken.  A lane still running after ``max_iter`` steps raises
+    :class:`ArithmeticError`.
+    """
+    n, r, d = points.shape
+    atol = _COINCIDE * scale
+    step_tol = tol * scale
+    slack = _ROUND * r * scale
+    eye = np.eye(d)
+    y = np.array(y, copy=True)
+    its = np.zeros(n, dtype=np.int64)
+    idx = np.arange(n)
+    P, yc = points, y
+    for it in range(max_iter + 1):
+        dist, inv, u, pull, mult = _pull(P, yc, atol[idx])
+        pnorm = np.sqrt(_stacked_dot(pull, pull))
+        done = pnorm - mult <= _GTOL * r
+        if it == max_iter and not np.all(done):
+            raise ArithmeticError(
+                f"geometric median: {int((~done).sum())} lane(s) not converged "
+                f"after {max_iter} steps")
+        wsum = inv.sum(axis=1)
+        hess = wsum[:, None, None] * eye - np.einsum("nri,nrj->nij", u * inv[:, :, None], u)
+        p = _newton_directions(hess, pull)
+        # Armijo on the decrease pull·p = −∇f·p, with the rounding allowance.
+        trial = yc[:, None, :] + _FRACTIONS[:, None] * p[:, None, :]
+        tdiff = P[:, None, :, :] - trial[:, :, None, :]
+        ftrial = np.sqrt(np.einsum("nkrd,nkrd->nkr", tdiff, tdiff)).sum(axis=2)
+        accept = ftrial <= ((dist.sum(axis=1) + slack[idx])[:, None]
+                            - _ARMIJO * _FRACTIONS * _stacked_dot(pull, p)[:, None])
+        smooth = mult == 0
+        newton = smooth & accept.any(axis=1)
+        ynew = trial[np.arange(idx.size), np.argmax(accept, axis=1)]
+        move = p
+        weiszfeld = ~(newton | done)
+        if np.any(weiszfeld):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                damp = np.where(smooth, 1.0, 1.0 - mult / pnorm) / wsum
+            wstep = damp[:, None] * pull
+            ynew[weiszfeld] = yc[weiszfeld] + wstep[weiszfeld]
+            move = np.where(smooth[:, None], p, wstep)
+        # The stopping step is never a backtracked one.
+        full = ~done & (np.sqrt(_stacked_dot(move, move)) <= step_tol[idx])
+        ynew[full & smooth] = trial[full & smooth, 0]
+        ynew[done] = yc[done]
+        y[idx] = ynew
+        its[idx] += ~done
+        keep = ~(done | full)
+        if not np.any(keep):
+            break
+        idx = idx[keep]
+        P = np.ascontiguousarray(P[keep])
+        yc = np.ascontiguousarray(ynew[keep])
+    return y, its
+
+
+def certified_medians(
     points: np.ndarray,
     starts: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 1000,
-) -> np.ndarray:
-    """Per-lane :func:`repro.median.weiszfeld` over a ``(B, r, d)`` stack.
+) -> CertifiedMedians:
+    """The geometric median of each lane of a ``(B, r, d)`` stack.
 
-    Returns the ``(B, d)`` median points.  ``starts`` defaults to the
-    per-lane centroids (the scalar default).  Lanes converge and drop out
-    of the active set independently; lanes that hit the Vardi–Zhang
-    vertex branch are replayed through the scalar solver (identical
-    prefix, then the scalar safeguard), so every lane matches
-    ``weiszfeld(points[i], start=starts[i]).point`` bit-for-bit.
+    Lanes whose minimizing set has a closed form (``r <= 2``, collinear or
+    coincident requests) return the minimizer closest to their start.  The
+    rest are non-collinear with a unique median.  If that median is a data
+    point, it is the one of least Weber cost, and Kuhn's test certifies it:
+    ``‖Σ_{x_i ≠ x_j} (x_i − x_j)/‖x_i − x_j‖‖ <= #{i: x_i = x_j}``.  Every
+    other lane runs :func:`_newton`, from its start or, when cheaper, from
+    the Vardi–Zhang step off its best data point.  ``starts`` defaults to
+    the per-lane centroids.
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 3:
@@ -185,87 +343,58 @@ def batched_weiszfeld(
     B, r, d = points.shape
     if r == 0:
         raise ValueError("geometric median of an empty batch is undefined")
-    if B == 0:
-        return np.empty((0, d))
-    if r == 1:
-        return np.array(points[:, 0], copy=True)
-
     if starts is None:
-        y = points.mean(axis=1)
+        starts = points.mean(axis=1)
     else:
-        y = np.array(np.asarray(starts, dtype=np.float64), copy=True)
-        if y.shape != (B, d):
-            raise ValueError(f"starts must have shape {(B, d)}, got {y.shape}")
-    start_ref = np.array(y, copy=True)
+        starts = np.asarray(starts, dtype=np.float64)
+        if starts.shape != (B, d):
+            raise ValueError(f"starts must have shape {(B, d)}, got {starts.shape}")
+    its = np.zeros(B, dtype=np.int64)
+    if B == 0 or r == 1:
+        return CertifiedMedians(np.array(points[:, 0], copy=True), its, np.ones(B, dtype=bool))
 
-    scale = np.abs(points).max(axis=(1, 2)) + 1.0
-    atol_vertex = 1e-14 * scale
-    tol2 = (tol * scale) ** 2
+    y = np.empty((B, d))
+    mset = batched_median_set(points)
+    exact = ~mset.numeric
+    if np.any(exact):
+        y[exact] = _segment_closest(mset.a[exact], mset.b[exact], starts[exact])
+    idx = np.nonzero(mset.numeric)[0]
+    if idx.size:
+        pts = np.ascontiguousarray(points[idx])
+        scale = np.abs(pts).max(axis=(1, 2))
+        cost = _vertex_costs(pts)
+        best = np.argmin(cost, axis=1)
+        v = pts[np.arange(idx.size), best]
+        _, inv, _, pull, mult = _pull(pts, v, _COINCIDE * scale)
+        pnorm = np.sqrt(_stacked_dot(pull, pull))
+        vertex = pnorm - mult <= _GTOL * r
+        y[idx[vertex]] = v[vertex]
+        rest = np.nonzero(~vertex)[0]
+        if rest.size:
+            pr = np.ascontiguousarray(pts[rest])
+            start = starts[idx[rest]]
+            diff = pr - start[:, None, :]
+            f_start = np.sqrt(np.einsum("nrd,nrd->nr", diff, diff)).sum(axis=1)
+            off = v[rest] + ((1.0 - mult[rest] / pnorm[rest])
+                             / inv[rest].sum(axis=1))[:, None] * pull[rest]
+            start = np.where((cost[rest, best[rest]] < f_start)[:, None], off, start)
+            y[idx[rest]], its[idx[rest]] = _newton(pr, start, scale[rest], tol, max_iter)
+    on_vertex = np.any(np.all(points == y[:, None, :], axis=2), axis=1)
+    return CertifiedMedians(y, its, on_vertex)
 
-    idx = np.arange(B)
-    P = points
-    ycur = y
-    vertex: list[int] = []
-    it = 0
-    while idx.size and it < max_iter:
-        it += 1
-        diff = P - ycur[:, None, :]
-        dists = np.sqrt(np.einsum("brd,brd->br", diff, diff))
-        hit = dists.min(axis=1) <= atol_vertex[idx]
-        if np.any(hit):
-            # The iterate sits on a data point: the smooth map is
-            # undefined there.  Hand the lane to the scalar solver, which
-            # replays the identical iterates and applies Vardi-Zhang.
-            vertex.extend(int(i) for i in idx[hit])
-            keep = ~hit
-            idx = idx[keep]
-            if not idx.size:
-                break
-            P = np.ascontiguousarray(P[keep])
-            ycur = np.ascontiguousarray(ycur[keep])
-            dists = np.ascontiguousarray(dists[keep])
-        inv = 1.0 / dists
-        y_new = (P * inv[:, :, None]).sum(axis=1) / inv.sum(axis=1)[:, None]
-        step = y_new - ycur
-        y[idx] = y_new
-        # The scalar convergence test is np.dot(step, step) — BLAS ddot.
-        done = _stacked_dot(step, step) <= tol2[idx]
-        if np.any(done):
-            keep = ~done
-            idx = idx[keep]
-            P = np.ascontiguousarray(P[keep])
-            ycur = np.ascontiguousarray(y_new[keep])
-        else:
-            ycur = y_new
 
-    for i in vertex:
-        y[i] = weiszfeld(points[i], start=start_ref[i], tol=tol,
-                         max_iter=max_iter).point
+def batched_weiszfeld(
+    points: np.ndarray,
+    starts: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+) -> np.ndarray:
+    """The ``(B, d)`` median points of :func:`certified_medians`.
 
-    # Post-loop vertex snap for every lane the smooth iteration finished
-    # (the scalar path runs this whenever on_vertex is False).
-    smooth = np.ones(B, dtype=bool)
-    if vertex:
-        smooth[vertex] = False
-    sidx = np.nonzero(smooth)[0]
-    if sidx.size:
-        Ps = points[sidx]
-        diff = Ps - y[sidx][:, None, :]
-        dists = np.sqrt(np.einsum("brd,brd->br", diff, diff))
-        nearest = np.argmin(dists, axis=1)
-        rows = np.arange(sidx.size)
-        cand = dists[rows, nearest] <= 1e-4 * scale[sidx]
-        cidx = np.nonzero(cand)[0]
-        if cidx.size:
-            Pc = np.ascontiguousarray(Ps[cidx])
-            y_cost = np.ascontiguousarray(dists[cidx]).sum(axis=1)
-            vpts = Pc[np.arange(cidx.size), nearest[cidx]]
-            vdiff = Pc - vpts[:, None, :]
-            v_cost = np.sqrt(np.einsum("brd,brd->br", vdiff, vdiff)).sum(axis=1)
-            ok = v_cost <= y_cost + 1e-12 * (1.0 + y_cost)
-            if np.any(ok):
-                y[sidx[cidx[ok]]] = vpts[ok]
-    return y
+    Every lane equals ``weiszfeld(points[i], start=starts[i]).point``
+    bit-for-bit: the scalar function is this solver at ``B = 1``.
+    """
+    return certified_medians(points, starts, tol, max_iter).points
 
 
 def batched_request_center(

@@ -10,7 +10,7 @@ implements exactly that:
 * ``r == 2`` → the projection of the server onto the segment;
 * collinear batches (all of dimension 1) → the projection of the server
   onto the median interval;
-* otherwise → the unique Weiszfeld point.
+* otherwise → the unique median, from the certified solver.
 
 The function is the single entry point used by every algorithm, so the
 tie-break is consistent across MtC, its ablations, and the analysis code.

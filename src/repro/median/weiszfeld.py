@@ -1,20 +1,19 @@
-"""Safeguarded Weiszfeld iteration for the geometric median.
+"""The certified geometric median of one request batch.
 
 For three or more non-collinear points the Weber objective
 :math:`f(y) = \\sum_i d(y, v_i)` is strictly convex and has a unique
-minimizer.  The classical Weiszfeld map
+minimizer.  :func:`weiszfeld` (named after the fixed-point map it falls
+back on) finds it with the solver of :mod:`repro.median.batched` run on a
+one-lane stack:
 
-.. math:: T(y) = \\Big(\\sum_i v_i / d_i\\Big) \\Big/ \\Big(\\sum_i 1/d_i\\Big),
-          \\qquad d_i = d(y, v_i)
+* segment minimizers (``r == 2``, collinear or coincident points) resolve
+  in closed form to the minimizer closest to the start;
+* a data point that is the optimum is certified by Kuhn's test and
+  returned exactly;
+* every other batch runs safeguarded Newton to a vanishing gradient.
 
-converges to it from almost every start but is undefined *at* the data
-points.  We use the Vardi–Zhang (2000) modification, which evaluates the
-"pull" of the remaining points when the iterate sits on a data point and
-either certifies optimality (the data point absorbs the pull) or steps off
-in the pull direction.  This makes the iteration globally well-defined.
-
-The solver intentionally knows nothing about degenerate inputs — callers
-route ``r <= 2`` and collinear batches through :mod:`repro.median.exact`.
+There is no separate scalar iteration: a batched lane and the scalar call
+perform the same floating-point operations.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.metric import as_points
+from .batched import certified_medians
 
 __all__ = ["WeiszfeldResult", "weiszfeld", "weber_gradient_norm"]
 
@@ -37,12 +37,12 @@ class WeiszfeldResult:
     point:
         The computed geometric median.
     iterations:
-        Number of fixed-point iterations performed.
+        Number of Newton or Weiszfeld steps taken (0 when the median has a
+        closed form or is a data point certified by Kuhn's test).
     converged:
-        Whether the movement tolerance was met before ``max_iter``.
+        Always True: a solve that exhausts its budget raises instead.
     on_vertex:
-        True when the optimum is one of the input points (certified by the
-        Vardi–Zhang criterion).
+        True when the returned point is one of the input points.
     """
 
     point: np.ndarray
@@ -82,80 +82,24 @@ def weiszfeld(
 ) -> WeiszfeldResult:
     """Compute the geometric median of ``points``.
 
+    This is :func:`repro.median.batched.certified_medians` on a one-lane
+    stack, so every batched lane reproduces it bit-for-bit.
+
     Parameters
     ----------
     points:
         ``(r, d)`` batch, ``r >= 1``.
     start:
-        Initial iterate; defaults to the centroid (which is never a data
-        point for non-degenerate batches and gives monotone descent).
+        Initial iterate; defaults to the centroid.  When the minimizer is
+        a segment (``r == 2``, collinear or coincident points) the answer
+        is its point closest to ``start``.
     tol:
-        Relative movement tolerance for convergence.
+        Full-Newton-step tolerance, relative to the largest coordinate.
     max_iter:
-        Iteration budget; the fixed point is linear-rate so 1000 is ample
-        for ``float64`` resolution on well-scaled inputs.
+        Step budget; a solve that exhausts it raises
+        :class:`ArithmeticError` rather than return an unconverged point.
     """
     points = as_points(points)
-    r = points.shape[0]
-    if r == 0:
-        raise ValueError("geometric median of an empty batch is undefined")
-    if r == 1:
-        return WeiszfeldResult(points[0].copy(), 0, True, True)
-
-    y = points.mean(axis=0) if start is None else np.array(start, dtype=np.float64, copy=True)
-    scale = float(np.max(np.abs(points))) + 1.0
-    atol_vertex = 1e-14 * scale
-
-    iterations = 0
-    on_vertex = False
-    converged = False
-    tol2 = (tol * scale) ** 2
-    for iterations in range(1, max_iter + 1):
-        diff = points - y
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if float(dists.min()) <= atol_vertex:
-            on = dists <= atol_vertex
-            # Vardi-Zhang step at a data point.
-            eta = float(on.sum())
-            rest = ~on
-            if not np.any(rest):
-                on_vertex = True
-                converged = True
-                break
-            inv = 1.0 / dists[rest]
-            pull = (diff[rest] * inv[:, None]).sum(axis=0)  # -gradient of the rest
-            pull_norm = float(np.linalg.norm(pull))
-            if pull_norm <= eta + 1e-15:
-                on_vertex = True
-                converged = True
-                break
-            # Standard Weiszfeld map of the non-coinciding points.
-            t_y = (points[rest] * inv[:, None]).sum(axis=0) / inv.sum()
-            d_vec = t_y - y
-            step = max(0.0, 1.0 - eta / pull_norm)
-            y_new = y + step * d_vec
-        else:
-            inv = 1.0 / dists
-            y_new = (points * inv[:, None]).sum(axis=0) / inv.sum()
-        step_vec = y_new - y
-        y = y_new
-        if float(np.dot(step_vec, step_vec)) <= tol2:
-            converged = True
-            break
-    if not on_vertex:
-        # Vertex optima are only approached asymptotically by the fixed
-        # point; snap when the nearest data point is at least as good.
-        diff = points - y
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        nearest = int(np.argmin(dists))
-        # Generous radius: convergence is sublinear at vertex optima, so the
-        # iterate can stall noticeably far out; the cost comparison below
-        # makes the snap safe regardless.
-        if dists[nearest] <= 1e-4 * scale:
-            y_cost = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).sum())
-            vdiff = points - points[nearest]
-            v_cost = float(np.sqrt(np.einsum("ij,ij->i", vdiff, vdiff)).sum())
-            if v_cost <= y_cost + 1e-12 * (1.0 + y_cost):
-                y = points[nearest].copy()
-                on_vertex = True
-    return WeiszfeldResult(y, iterations, converged, on_vertex)
+    starts = None if start is None else np.asarray(start, dtype=np.float64)[None, :]
+    res = certified_medians(points[None], starts, tol=tol, max_iter=max_iter)
+    return WeiszfeldResult(res.points[0], int(res.iterations[0]), True, bool(res.on_vertex[0]))

@@ -252,7 +252,8 @@ class _Program:
         return cost
 
     def feasible(self, primal: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(replayed cost, trajectory)`` of the cap repair of ``primal``."""
+        """``(replayed cost, trajectory)`` of the cap repair of the
+        ``(T, d)`` primal iterate ``P_1 … P_T``."""
         inst = self.instance
         trajectory = project_to_cap(primal, inst.start, inst.m)
         return replay_cost(inst, trajectory, validate_cap=inst.m).total_cost, trajectory
@@ -302,7 +303,7 @@ def minimize(instance: MSPInstance) -> SolveResult:
     kty = np.empty((T, dim))
     radius = np.empty(T)
     lower = 0.0
-    upper, feasible = program.feasible(np.vstack([start[None, :], x]))
+    upper, feasible = program.feasible(x)
     gap = _relative_gap(lower, upper)
     nit = 0
     while gap > TOL and nit < BUDGET:
@@ -339,7 +340,7 @@ def minimize(instance: MSPInstance) -> SolveResult:
         estimate = program.objective(x)
         if estimate - lower > TOL * estimate and nit < BUDGET:
             continue
-        cost, candidate = program.feasible(np.vstack([start[None, :], x]))
+        cost, candidate = program.feasible(x)
         if cost < upper:
             upper, feasible = cost, candidate
         if lower > upper:
@@ -362,17 +363,17 @@ def relaxed_lower_bound(instance: MSPInstance) -> tuple[float, np.ndarray]:
     return res.lower, res.x
 
 
-def project_to_cap(positions: np.ndarray, start: np.ndarray, cap: float) -> np.ndarray:
-    """Greedy repair of a trajectory into a cap-feasible one.
+def project_to_cap(targets: np.ndarray, start: np.ndarray, cap: float) -> np.ndarray:
+    """Greedy repair of ``(T, d)`` post-move targets into a cap-feasible
+    ``(T + 1, d)`` trajectory.
 
-    Each step moves from the repaired previous position towards the target
-    trajectory's next point, clamped at ``cap``.  The result starts at
-    ``start`` and never violates the cap.
+    Each step moves from the repaired previous position towards the next
+    target, clamped at ``cap``.  The result starts at ``start`` and never
+    violates the cap.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 2:
-        raise ValueError("positions must be (T+1, d) or (T, d)")
-    targets = positions[1:] if positions.shape[0] > 0 and np.allclose(positions[0], start) else positions
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 2:
+        raise ValueError(f"targets must be a (T, d) array, got shape {targets.shape}")
     out = np.empty((targets.shape[0] + 1, targets.shape[1]))
     out[0] = start
     cur = np.asarray(start, dtype=np.float64)

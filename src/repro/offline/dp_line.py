@@ -91,6 +91,7 @@ def _run_dp(
     h = float(grid[1] - grid[0])
     D = instance.D
     serve_after_move = instance.cost_model.serves_after_move
+    counts_service = instance.cost_model.counts_service
     start_idx = int(np.argmin(np.abs(grid - float(instance.start[0]))))
     w = np.full(S, np.inf)
     w[start_idx] = 0.0
@@ -102,7 +103,7 @@ def _run_dp(
     requests = instance.requests
     for t in range(T):
         batch = requests[t]
-        if batch.count:
+        if batch.count and counts_service:
             service = np.abs(grid[:, None] - batch.points[:, 0][None, :]).sum(axis=1)
         else:
             service = None
@@ -132,6 +133,7 @@ def _recover(
     h = float(grid[1] - grid[0])
     D = instance.D
     serve_after_move = instance.cost_model.serves_after_move
+    counts_service = instance.cost_model.counts_service
     requests = instance.requests
 
     idx = int(np.argmin(tables[T]))
@@ -139,18 +141,19 @@ def _recover(
     indices[T] = idx
     for t in range(T, 0, -1):
         batch = requests[t - 1]
+        served = counts_service and batch.count > 0
         lo_i = max(0, idx - band)
         hi_i = min(S, idx + band + 1)
         cand = np.arange(lo_i, hi_i)
         move = D * h * np.abs(cand - idx)
         if serve_after_move:
-            if batch.count:
+            if served:
                 service_here = float(np.abs(grid[idx] - batch.points[:, 0]).sum())
             else:
                 service_here = 0.0
             scores = tables[t - 1][cand] + move + service_here
         else:
-            if batch.count:
+            if served:
                 service_prev = np.abs(
                     grid[cand][:, None] - batch.points[:, 0][None, :]
                 ).sum(axis=1)
@@ -177,7 +180,8 @@ def solve_line(
     Parameters
     ----------
     instance:
-        A dimension-1 instance; both cost models are supported.
+        A dimension-1 instance; every cost model is supported (service
+        terms drop out when the model charges movement only).
     grid_size:
         Explicit grid size ``S``.  Default: auto-sized so that one
         per-step move spans ``cells_per_move`` cells, clamped to
@@ -212,8 +216,11 @@ def solve_line(
 
     # Snapping correction: a continuous trajectory maps to a
     # band_relaxed-feasible grid trajectory with movement +h and service
-    # +r_t*h/2 per step; the snapped start costs one extra D*h.
+    # +r_t*h/2 per step (none when service is not charged); the snapped
+    # start costs one extra D*h.
     r = instance.requests.counts.astype(np.float64)
+    if not instance.cost_model.counts_service:
+        r = np.zeros_like(r)
     correction = float(((instance.D + 0.5 * r) * h).sum()) + instance.D * h
     lower = max(0.0, lower_cost - correction)
     lower = min(lower, upper_cost)  # numerical ordering guard

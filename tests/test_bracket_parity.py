@@ -376,6 +376,19 @@ def test_pdhg_bracket_nests_in_dp_line(source, seed, cost_model):
     assert dp.lower_bound <= cb.lower <= cb.upper <= dp.cost
 
 
+def test_movement_only_dp_line_bracket_holds_zero():
+    """Movement-only charges no service, so staying put costs 0: the line
+    DP's bracket must contain that optimum and nest around PDHG's [0, 0]
+    (it once added service terms and read [10.55, 12.59] here)."""
+    wl = RandomWalkWorkload(30, dim=1, D=2.0, m=1.0)
+    inst = wl.generate(np.random.default_rng(0)).with_cost_model(CostModel("movement-only"))
+    cb = convex_bracket(inst)
+    dp = solve_line(inst)
+    assert (cb.lower, cb.upper) == (0.0, 0.0)
+    assert dp.lower_bound <= 0.0 <= dp.cost
+    assert dp.lower_bound <= cb.lower <= cb.upper <= dp.cost
+
+
 def test_e5_spot_check_pin_sits_below_the_old_lower_bound():
     """E5's seed-1 spot check (scale 0.15): L-BFGS reported lower = 16.11468979…,
     above a cap-feasible cost the certified solve finds."""

@@ -170,6 +170,25 @@ class TestWeiszfeld:
         res = weiszfeld(pts)
         assert weber_gradient_norm(res.point, pts) < 1e-5
 
+    def test_segment_minimizer_closest_to_start(self):
+        """A pair or an even collinear batch minimizes on a segment; the
+        answer is its point closest to the start (the centroid by default),
+        not the first optimal data point."""
+        pair = np.array([[0.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(weiszfeld(pair).point, [1.0, 0.0])
+        np.testing.assert_array_equal(weiszfeld(pair, start=np.array([5.0, 1.0])).point, [2.0, 0.0])
+        line = np.array([[0.0], [1.0], [5.0], [9.0]])
+        res = weiszfeld(line)
+        np.testing.assert_array_equal(res.point, [3.75])
+        assert (res.iterations, res.converged, res.on_vertex) == (0, True, False)
+        assert weiszfeld(line, start=np.array([0.5])).on_vertex
+
+    def test_newton_lanes_report_their_steps(self, rng):
+        res = weiszfeld(rng.normal(size=(6, 2)))
+        assert res.converged and not res.on_vertex and 0 < res.iterations < 20
+        with pytest.raises(ArithmeticError):
+            weiszfeld(rng.normal(size=(6, 2)), max_iter=0)
+
 
 class TestRequestCenter:
     def test_single_request(self):

@@ -163,16 +163,35 @@ class TestConvex:
 
 
 class TestProjectToCap:
+    """``project_to_cap`` reads ``(T, d)`` post-move targets and returns the
+    ``(T + 1, d)`` trajectory from ``start``."""
+
     def test_clamps_each_step(self):
-        target = np.array([[0.0], [5.0], [5.0]])
+        target = np.array([[5.0], [5.0]])
         out = project_to_cap(target, start=np.zeros(1), cap=1.0)
+        np.testing.assert_array_equal(out[:, 0], [0.0, 1.0, 2.0])
         steps = np.abs(np.diff(out[:, 0]))
         assert steps.max() <= 1.0 + 1e-12
 
     def test_identity_for_feasible(self):
-        target = np.array([[0.0], [0.5], [1.0]])
+        target = np.array([[0.5], [1.0]])
         out = project_to_cap(target, start=np.zeros(1), cap=1.0)
-        np.testing.assert_allclose(out, target)
+        np.testing.assert_allclose(out, [[0.0], [0.5], [1.0]])
+
+    @pytest.mark.parametrize("first", [[0.0, 0.0], [1e-12, 0.0], [7.0, -3.0]])
+    def test_first_target_is_a_target(self, first):
+        """A first target at (or next to) the start is still a step's target,
+        and one far from it is not mistaken for the start: T + 1 rows either way."""
+        rng = np.random.default_rng(3)
+        targets = np.vstack([first, rng.normal(size=(4, 2))])
+        out = project_to_cap(targets, start=np.zeros(2), cap=0.5)
+        assert out.shape == (6, 2)
+        np.testing.assert_array_equal(out[0], [0.0, 0.0])
+        assert np.all(np.linalg.norm(np.diff(out, axis=0), axis=1) <= 0.5 + 1e-12)
+
+    def test_rejects_flat_input(self):
+        with pytest.raises(ValueError, match=r"\(T, d\)"):
+            project_to_cap(np.zeros(3), start=np.zeros(1), cap=1.0)
 
 
 class TestBracketOptimum:
