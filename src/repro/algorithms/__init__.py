@@ -24,7 +24,6 @@ from .registry import (
 )
 from .vectorized import (
     VECTORIZED,
-    BatchedCoinFlip,
     KernelAlgorithm,
     ScalarBatchAdapter,
     as_vectorized,
@@ -37,7 +36,6 @@ __all__ = [
     "VECTORIZED",
     "AlgorithmInfo",
     "AnswerFirstMoveToCenter",
-    "BatchedCoinFlip",
     "CoinFlip",
     "FollowLastRequest",
     "GreedyCenter",

@@ -1,26 +1,24 @@
-"""k-server on the line, re-homed onto the one engine.
+"""k-server on the line as engine decision rules.
 
-The paper frames the k-Server Problem as an extreme of page migration;
-:mod:`repro.kserver.double_coverage` implements the classical baselines
-as standalone loops.  This module re-expresses them as
-:class:`~repro.algorithms.base.OnlineAlgorithm` decision rules so they
-run as scenarios of the shared simulator/engine:
+The paper frames the k-Server Problem as an extreme of page migration.
+This module states the classical baselines, Double Coverage and greedy,
+as :class:`~repro.algorithms.base.OnlineAlgorithm` decision rules, so
+they run as scenarios of the shared simulator/engine:
 
 * the *configuration* of ``k`` servers on the line is one point in
   :math:`\\mathbb{R}^k` (kept sorted), and
 * per-step movement under the ``l1`` metric is exactly the total
   distance the servers travel, so
 * :data:`~repro.core.costs.CostModel.MOVEMENT_ONLY` accounting (k-server
-  has no separate service cost) reproduces the legacy totals.
+  has no separate service cost) gives the k-server cost.
 
-Each ``decide`` replays the standalone module's update arithmetic
-operation-for-operation, so the configuration histories are
-bit-identical to :func:`~repro.kserver.double_coverage.double_coverage_line`
-/ :func:`~repro.kserver.double_coverage.greedy_kserver_line`; the
-per-step costs agree to float rounding (the legacy loop accumulates its
-own increments, e.g. ``2 * d`` for an interior double move, while the
-engine measures ``|new - old|_1`` — the same quantity, associated
-differently).
+The configuration histories are bit-identical to the standalone loops
+these rules replaced (``tests/test_rehomed.py`` pins them to those
+loops' frozen outputs); the totals agree to float rounding (the loops
+accumulated their own increments, e.g. ``2 * d`` for an interior double
+move, while the engine measures ``|new - old|_1`` — the same quantity,
+associated differently).  E13 Part C plays both rules against the exact
+configuration DP (:func:`~repro.kserver.offline.offline_kserver_line`).
 
 Requests are encoded as constant points ``np.full(k, x)`` (the workload
 :class:`~repro.workloads.kserver.KServerLineWorkload` emits them): the
@@ -48,8 +46,7 @@ class DoubleCoverageLine(OnlineAlgorithm):
     If the request falls outside the hull of the servers, the nearest
     server moves onto it; otherwise the two neighbouring servers move
     towards it at equal speed until one arrives — the classical
-    k-competitive rule, replayed verbatim from
-    :func:`repro.kserver.double_coverage.double_coverage_line`.
+    k-competitive rule.
     """
 
     def __init__(self) -> None:
@@ -84,8 +81,7 @@ class GreedyKServerLine(OnlineAlgorithm):
     """Greedy k-server: the nearest server moves onto the request.
 
     Non-competitive (two alternating nearby requests starve a distant
-    server) — the classical contrast to Double Coverage, replayed from
-    :func:`repro.kserver.double_coverage.greedy_kserver_line`.
+    server) — the classical contrast to Double Coverage.
     """
 
     def __init__(self) -> None:

@@ -1,20 +1,21 @@
-"""Classical page migration re-homed onto the one engine.
+"""Classical page migration on the one engine.
 
-:mod:`repro.pagemigration` implements the related-work strategies as a
-standalone node-indexed loop.  With the ``graph`` metric the shared
-simulator speaks the same language — positions are node points
-``(j, j, 0)``, movement is geodesic distance, move-first accounting
-serves from the post-move position — so each classical strategy becomes
-an :class:`~repro.algorithms.base.OnlineAlgorithm` by translating node
+:mod:`repro.pagemigration.algorithms` states the related-work strategies
+node-indexed.  With the ``graph`` metric the shared simulator speaks the
+same language — positions are node points ``(j, j, 0)``, movement is
+geodesic distance, move-first accounting serves from the post-move
+position — so each classical strategy becomes an
+:class:`~repro.algorithms.base.OnlineAlgorithm` by translating node
 indices to graph points at the boundary.
 
 :class:`PageMigrationAdapter` wraps any
 :class:`~repro.pagemigration.algorithms.PageMigrationAlgorithm`: it
 decodes the instance start and each request batch into node indices,
 delegates to the classical ``decide``, and re-encodes the chosen node.
-Costs then match :func:`~repro.pagemigration.simulator.simulate_page_migration`
-exactly (both read the same all-pairs table), which the parity tests
-assert.
+Costs read the network's all-pairs table, so pages and costs match the
+standalone loop this adapter replaced; ``tests/test_rehomed.py`` pins
+them to that loop's frozen outputs.  E13 Part B plays these against the
+exact node DP (:func:`~repro.pagemigration.offline.offline_page_migration`).
 
 Pair these with a graph workload emitting node requests (one per step)
 and an instance cap ``m`` at least the network diameter — the classical
@@ -74,8 +75,8 @@ class PageMigrationAdapter(OnlineAlgorithm):
             raise ValueError(
                 f"{self.name} takes node requests, got edge point ({u}, {v}, {frac})")
         node = int(self.inner.decide(t, u))
-        # The classical simulator commits the move unconditionally; mirror
-        # that here so phase state sees the post-move page, and return the
+        # The classical model commits the move unconditionally; mirror that
+        # here so phase state sees the post-move page, and return the
         # encoded point for the engine's own accounting.
         self.inner.page = node
         return self.metric.node_point(node)

@@ -13,9 +13,8 @@ in one of two batched forms:
   paper-faithful reference: every algorithm without a kernel, and every
   kernel-capable run the kernel cannot take (ragged stacks, non-ℓ2
   metrics, movement-only lanes, fusion switched off), goes through it.
-
-``coin-flip`` keeps its own batched loop (:class:`BatchedCoinFlip`):
-its per-lane RNG streams are consumed one draw per step with requests.
+  ``coin-flip`` has no kernel: each lane's copy draws from its own RNG
+  stream, one draw per step with requests.
 
 :func:`as_vectorized` resolves a registry name (or scalar factory) to the
 batched form registered in :data:`VECTORIZED`, the adapter otherwise.
@@ -31,14 +30,11 @@ import numpy as np
 from ..core.engine import BatchStepRequests, VectorizedAlgorithm
 from ..core.instance import MSPInstance
 from ..core.kernels import KERNELS, KernelContext, kernel_for
-from ..core.metric import batched_move_towards
-from ..median import request_center
 from .base import OnlineAlgorithm
 from .registry import ALGORITHMS
 
 __all__ = [
     "VECTORIZED",
-    "BatchedCoinFlip",
     "KernelAlgorithm",
     "ScalarBatchAdapter",
     "as_vectorized",
@@ -189,92 +185,10 @@ class KernelAlgorithm(VectorizedAlgorithm):
                 arr[i] = 0 if carried is None else carried[key]
 
 
-class BatchedCoinFlip(VectorizedAlgorithm):
-    """Batched :class:`~repro.algorithms.coinflip.CoinFlip`.
-
-    Each lane owns an independent RNG stream from ``rng_factory(lane)``
-    (default: a fresh ``default_rng(lane)``), consumed exactly as the
-    scalar algorithm consumes its generator — one draw per step with
-    requests — so a lane seeded like a scalar run reproduces it exactly.
-    A lane chases its target at full speed and drops it once reached
-    (the scalar ``allclose(..., atol=1e-12)`` test).
-    """
-
-    def __init__(
-        self,
-        rng_factory: Callable[[int], np.random.Generator] | None = None,
-        probability: float | None = None,
-    ) -> None:
-        super().__init__()
-        if probability is not None and not (0.0 < probability <= 1.0):
-            raise ValueError("probability must lie in (0, 1]")
-        self.rng_factory = rng_factory if rng_factory is not None else (
-            lambda lane: np.random.default_rng(lane)
-        )
-        self.probability = probability
-        self.name = "coin-flip"
-        self._targets: list[np.ndarray | None] = []
-        self._rngs: list[np.random.Generator] = []
-        self._p: np.ndarray = np.zeros(0)
-
-    def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
-        super().reset_batch(instances, caps)
-        self._targets = [None] * self.batch_size
-        self._rngs = [self.rng_factory(i) for i in range(self.batch_size)]
-        if self.probability is not None:
-            self._p = np.full(self.batch_size, self.probability)
-        else:
-            self._p = 1.0 / (2.0 * self.D)
-
-    def export_lane_states(self) -> list:
-        # The Generator object itself is the lane's stream state; carrying
-        # it across batch recompositions continues the draw sequence
-        # exactly where the lane left off.
-        return [
-            (self._targets[i], self._rngs[i]) for i in range(self.batch_size)
-        ]
-
-    def import_lane_states(self, states) -> None:
-        if len(states) != self.batch_size:
-            raise ValueError(f"expected {self.batch_size} lane states, got {len(states)}")
-        for i, carried in enumerate(states):
-            if carried is None:  # fresh lane: keep the reset RNG
-                continue
-            target, rng = carried
-            self._targets[i] = target
-            self._rngs[i] = rng
-
-    def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
-    ) -> np.ndarray:
-        for i in np.nonzero(step.counts)[0]:
-            i = int(i)
-            if self._rngs[i].random() < self._p[i]:
-                self._targets[i] = request_center(step.batch(i).points, positions[i])
-        # Lanes without a target take a zero step towards themselves.
-        tgt = positions.copy()
-        steps = np.zeros(positions.shape[0])
-        active = [i for i, target in enumerate(self._targets) if target is not None]
-        for i in active:
-            tgt[i] = self._targets[i]
-            steps[i] = self.caps[i]
-        out = batched_move_towards(positions, tgt, steps)
-        if active:
-            reached = np.all(np.abs(out - tgt) <= 1e-12, axis=1)
-            for i in active:
-                if reached[i]:
-                    self._targets[i] = None
-        return out
-
-
-#: Registry names with a batched form: every kernel-bound name, plus
-#: ``coin-flip``'s own batched loop; everything else resolves to
-#: :class:`ScalarBatchAdapter`.  The ``coin-flip`` entry seeds every lane
-#: like the scalar registry factory (``default_rng(0)``) so batched
-#: sweeps reproduce per-seed scalar runs.
+#: Registry names with a batched form — every kernel-bound name; everything
+#: else resolves to :class:`ScalarBatchAdapter`.
 VECTORIZED: Dict[str, Callable[[], VectorizedAlgorithm]] = {
-    **{name: partial(KernelAlgorithm, name, ALGORITHMS[name]) for name in KERNELS},
-    "coin-flip": lambda: BatchedCoinFlip(rng_factory=lambda lane: np.random.default_rng(0)),
+    name: partial(KernelAlgorithm, name, ALGORITHMS[name]) for name in KERNELS
 }
 
 
@@ -283,9 +197,9 @@ def make_vectorized(name: str, metric=None) -> VectorizedAlgorithm:
 
     The :data:`VECTORIZED` entry when ``name`` has one, otherwise the
     scalar algorithm wrapped in :class:`ScalarBatchAdapter`.  Under a
-    non-Euclidean ``metric`` the entries are skipped — kernels and the
-    coin-flip loop hardcode ℓ2 — and every algorithm runs through the
-    adapter with the metric injected per lane.
+    non-Euclidean ``metric`` the entries are skipped — kernels hardcode
+    ℓ2 — and every algorithm runs through the adapter with the metric
+    injected per lane.
     """
     non_euclidean = metric is not None and metric.name != "euclidean"
     if name in VECTORIZED and not non_euclidean:

@@ -4,9 +4,9 @@
 its instances from the workload/adversary registries, validates the
 algorithm's capability metadata against the source, plays the rounds on
 the batched lock-step engine (:func:`~repro.core.engine.simulate_batch`,
-which picks a fused kernel, coin-flip's batched loop or the scalar
-adapter per algorithm), certifies ratios as requested, and returns a
-:class:`RunResult`.  ``engine="scalar"`` instead plays the reference
+which picks a fused kernel or the scalar adapter per algorithm),
+certifies ratios as requested, and returns a :class:`RunResult`.
+``engine="scalar"`` instead plays the reference
 :func:`~repro.core.simulator.simulate` loop, bit-identically; adaptive
 adversaries play their game move by move.
 

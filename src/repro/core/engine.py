@@ -340,7 +340,7 @@ def _resolve_algorithm(algorithm: AlgorithmSpec, metric: Metric | None = None) -
     if isinstance(algorithm, VectorizedAlgorithm):
         if metric is not None:
             # Only the scalar adapter (which exposes a ``metric`` slot) can
-            # honour a non-ℓ2 metric; kernels and coin-flip hardcode ℓ2.
+            # honour a non-ℓ2 metric; kernels hardcode ℓ2.
             if hasattr(algorithm, "metric"):
                 algorithm.metric = metric
             else:
@@ -501,8 +501,8 @@ def simulate_batch(
     algorithm:
         A :class:`VectorizedAlgorithm`, a registry name (resolved through
         :func:`repro.algorithms.vectorized.as_vectorized`, which picks the
-        algorithm's kernel or batched loop when one exists and the scalar
-        adapter otherwise), or a zero-arg scalar-algorithm factory.
+        algorithm's fused kernel when it has one and the scalar adapter
+        otherwise), or a zero-arg scalar-algorithm factory.
     delta:
         Resource-augmentation factor: a scalar applied to every lane, or
         a ``(B,)`` per-lane sweep (what lets cross-cell mega-batching

@@ -3,7 +3,9 @@
 A registry algorithm exists in at most two forms: the scalar
 :class:`~repro.algorithms.base.OnlineAlgorithm` (the paper-faithful
 reference) and the :class:`StepKernel` registered here under its
-registry name.  :func:`repro.core.engine.simulate_batch` hands a packed
+registry name.  There is no third, hand-batched form: an algorithm
+without a kernel (``coin-flip``, the classical ``pm-*`` and k-server
+rules, ...) runs its scalar rule once per lane.  :func:`repro.core.engine.simulate_batch` hands a packed
 ℓ2 request stack straight to :func:`run_fused`, which advances a whole
 block of ``K`` steps per Python iteration and validates caps, accumulates
 movement/service costs and writes trace columns *per block* instead of

@@ -504,7 +504,10 @@ class GraphMetric(Metric):
         if p.shape != (3,):
             raise ValueError(
                 f"graph points are (u, v, t) 3-vectors, got shape {p.shape}")
-        u, v, t = int(round(p[0])), int(round(p[1])), float(p[2])
+        # One tolist() reads Python floats; rounding NumPy scalars one by
+        # one dominates every graph step otherwise.
+        x, y, t = p.tolist()
+        u, v = int(round(x)), int(round(y))
         n = self.n_nodes
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"graph point names nodes ({u}, {v}) outside 0..{n - 1}")

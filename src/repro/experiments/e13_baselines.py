@@ -16,6 +16,13 @@ sit near/below the classical constants (7, 3, 3).
 Part C contrasts Double Coverage and greedy on the k-server line against
 the configuration DP (DC ≤ k-competitive, greedy unbounded).
 
+Parts B and C play the classical rules on the one engine: page migration
+as :class:`~repro.algorithms.page_adapters.PageMigrationAdapter` runs
+under the network's :class:`~repro.core.metric.GraphMetric`, k-server as
+the ``dc-line`` / ``greedy-kserver`` configuration-space rules under
+``l1`` with movement-only accounting.  The exact offline DPs stay their
+OPT.
+
 Declared as an orchestrator sweep: Part A is one generic scenario cell
 per (suite source, algorithm) (:func:`repro.api.runtime.scenario_units`
 factors one shared DP-bracket cell per source), and parts B/C are
@@ -29,10 +36,14 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..algorithms import compatible_algorithms
+from ..algorithms import compatible_algorithms, make_algorithm
+from ..algorithms.page_adapters import PageMigrationAdapter
 from ..api.runtime import scenario_units
 from ..api.scenario import Scenario
-from ..kserver import double_coverage_line, greedy_kserver_line, offline_kserver_line
+from ..core.costs import CostModel
+from ..core.metric import GraphMetric, graph_point
+from ..core.simulator import simulate
+from ..kserver import offline_kserver_line
 from ..pagemigration import (
     CoinFlipGraph,
     CountMoveTo,
@@ -42,9 +53,9 @@ from ..pagemigration import (
     complete_uniform,
     offline_page_migration,
     random_tree,
-    simulate_page_migration,
 )
 from ..workloads import SUITE_NAMES, suite_entry
+from ..workloads.base import make_instance
 from .orchestrator import SweepSpec, WorkUnit
 from .runner import ExperimentResult, scaled
 
@@ -67,10 +78,18 @@ def cell_page_migration(T: int, seed: int, D_pm: float) -> dict:
     ):
         requests = rng.integers(0, net.n, size=T)
         opt = offline_page_migration(net, requests, start=0, D=D_pm)
+        # Node requests as graph points; a cap past the diameter never binds
+        # (the classical model is uncapped).
+        instance = make_instance(
+            np.stack([graph_point(int(v)) for v in requests])[:, None, :],
+            start=graph_point(0), D=D_pm, m=float(net.distances.max()) + 1.0)
+        metric = GraphMetric(net)
         for alg in (MoveToMinGraph(), CoinFlipGraph(rng=np.random.default_rng(seed)),
                     CountMoveTo(), GreedyFollow(), StaticPage()):
-            res = simulate_page_migration(net, requests, alg, start=0, D=D_pm)
-            entries.append([net_name, alg.name, res.total / max(opt.total, 1e-12)])
+            trace = simulate(instance, PageMigrationAdapter(alg), metric=metric)
+            # Summed in step order, as the classical accounting adds costs.
+            total = sum(trace.movement_costs.tolist()) + sum(trace.service_costs.tolist())
+            entries.append([net_name, alg.name, total / max(opt.total, 1e-12)])
     return {"entries": entries}
 
 
@@ -79,13 +98,18 @@ def cell_kserver(T: int, seed: int) -> dict:
     servers = np.array([-10.0, 0.0, 10.0])
     requests_ks = np.random.default_rng(seed).uniform(-12, 12, size=T)
     opt_ks = offline_kserver_line(servers, requests_ks)
-    dc = double_coverage_line(servers, requests_ks)
-    gr = greedy_kserver_line(servers, requests_ks)
-    return {
-        "k": k,
-        "dc_ratio": dc.total / max(opt_ks, 1e-12),
-        "greedy_ratio": gr.total / max(opt_ks, 1e-12),
+    # Configuration space R^k under l1: movement is the servers' total travel,
+    # and request x is the point np.full(k, x).  Servers and requests stay in
+    # [-12, 12], so no step moves more than 24 and the cap never binds.
+    instance = make_instance(
+        np.repeat(requests_ks[:, None, None], k, axis=2), start=servers,
+        D=1.0, m=48.0, cost_model=CostModel.MOVEMENT_ONLY)
+    ratios = {
+        name: simulate(instance, make_algorithm(name), metric="l1").total_cost
+        / max(opt_ks, 1e-12)
+        for name in ("dc-line", "greedy-kserver")
     }
+    return {"k": k, "dc_ratio": ratios["dc-line"], "greedy_ratio": ratios["greedy-kserver"]}
 
 
 # -- spec ------------------------------------------------------------------

@@ -1,15 +1,5 @@
-"""k-server baselines on the line (related-work substrate)."""
+"""k-server on the line: the exact offline optimum (related-work substrate)."""
 
-from .double_coverage import (
-    KServerResult,
-    double_coverage_line,
-    greedy_kserver_line,
-    offline_kserver_line,
-)
+from .offline import offline_kserver_line
 
-__all__ = [
-    "KServerResult",
-    "double_coverage_line",
-    "greedy_kserver_line",
-    "offline_kserver_line",
-]
+__all__ = ["offline_kserver_line"]

@@ -1,4 +1,9 @@
-"""Classical Page Migration substrate (graphs, classical algorithms, DP)."""
+"""Classical Page Migration substrate (graphs, classical algorithms, DP).
+
+The online strategies run on the one engine through
+:class:`~repro.algorithms.page_adapters.PageMigrationAdapter` under the
+``graph`` metric; :func:`offline_page_migration` is their exact OPT.
+"""
 
 from .algorithms import (
     CoinFlipGraph,
@@ -8,11 +13,6 @@ from .algorithms import (
     PageMigrationAlgorithm,
     StaticPage,
 )
-from .dynamic import (
-    DynamicNetwork,
-    offline_dynamic_page_migration,
-    simulate_dynamic_page_migration,
-)
 from .graph import (
     MigrationNetwork,
     complete_uniform,
@@ -21,16 +21,11 @@ from .graph import (
     random_geometric,
     random_tree,
 )
-from .simulator import (
-    PageMigrationResult,
-    offline_page_migration,
-    simulate_page_migration,
-)
+from .offline import PageMigrationResult, offline_page_migration
 
 __all__ = [
     "CoinFlipGraph",
     "CountMoveTo",
-    "DynamicNetwork",
     "GreedyFollow",
     "MigrationNetwork",
     "MoveToMinGraph",
@@ -39,11 +34,8 @@ __all__ = [
     "StaticPage",
     "complete_uniform",
     "grid_graph",
-    "offline_dynamic_page_migration",
     "offline_page_migration",
     "path_graph",
     "random_geometric",
     "random_tree",
-    "simulate_dynamic_page_migration",
-    "simulate_page_migration",
 ]

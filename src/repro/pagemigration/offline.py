@@ -1,10 +1,13 @@
-"""Simulator and offline DP for classical page migration on graphs.
+"""Offline DP for classical page migration on graphs.
 
 Costs follow the classical convention (and the paper's Section 2 with the
 move-first rule specialised to nodes): in step ``t`` the page may migrate
 from node :math:`p_{t}` to :math:`p_{t+1}` at cost
 :math:`D\\,\\mathrm{dist}(p_t, p_{t+1})`, then serves the request from
-:math:`p_{t+1}` at cost :math:`\\mathrm{dist}(p_{t+1}, v_t)`.
+:math:`p_{t+1}` at cost :math:`\\mathrm{dist}(p_{t+1}, v_t)`.  The online
+strategies play the same accounting on the one engine, through
+:class:`~repro.algorithms.page_adapters.PageMigrationAdapter` under the
+network's :class:`~repro.core.metric.GraphMetric`.
 
 The offline optimum is a plain DP over nodes — the state space is finite,
 so the classical problem is exactly solvable and competitive ratios here
@@ -18,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import PageMigrationAlgorithm
 from .graph import MigrationNetwork
 
-__all__ = ["PageMigrationResult", "simulate_page_migration", "offline_page_migration"]
+__all__ = ["PageMigrationResult", "offline_page_migration"]
 
 
 @dataclass(frozen=True)
 class PageMigrationResult:
-    """Outcome of one page-migration run.
+    """Outcome of an offline page-migration solve.
 
     Attributes
     ----------
@@ -40,38 +42,6 @@ class PageMigrationResult:
     movement: float
     service: float
     pages: np.ndarray
-
-
-def simulate_page_migration(
-    network: MigrationNetwork,
-    requests: np.ndarray,
-    algorithm: PageMigrationAlgorithm,
-    start: int = 0,
-    D: float = 1.0,
-) -> PageMigrationResult:
-    """Run ``algorithm`` on a node-request sequence."""
-    requests = np.asarray(requests, dtype=np.int64)
-    if requests.ndim != 1:
-        raise ValueError("requests must be a 1-D array of node indices")
-    if np.any(requests < 0) or np.any(requests >= network.n):
-        raise ValueError("request index out of range")
-    algorithm.reset(network, start, D)
-    T = requests.shape[0]
-    pages = np.empty(T + 1, dtype=np.int64)
-    pages[0] = start
-    movement = 0.0
-    service = 0.0
-    page = start
-    for t in range(T):
-        new_page = int(algorithm.decide(t, int(requests[t])))
-        if not (0 <= new_page < network.n):
-            raise ValueError(f"algorithm returned invalid node {new_page}")
-        movement += D * network.distance(page, new_page)
-        service += network.distance(new_page, int(requests[t]))
-        page = new_page
-        algorithm.page = page
-        pages[t + 1] = page
-    return PageMigrationResult(total=movement + service, movement=movement, service=service, pages=pages)
 
 
 def offline_page_migration(

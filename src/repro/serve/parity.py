@@ -48,8 +48,7 @@ def batch_reference(
 
     Resolves the algorithm exactly as :func:`repro.api.run` does — the
     registry name when the spec carries no parameters (so fused kernels
-    and coin-flip's batched loop engage), a scalar
-    factory otherwise.
+    engage), a scalar factory otherwise.
     """
     from ..algorithms.registry import make_algorithm
     from ..core.engine import simulate_batch

@@ -4,9 +4,9 @@ The pool is the serve layer's engine room: every tick it groups sessions
 that have a pending step and share ``(algorithm, params, dim, cost_model)``,
 packs each group into one wide :func:`~repro.core.engine.advance_lanes`
 call — the exact per-step body of ``simulate_batch`` — and commits each
-lane's row back to its session.  A wave of a kernel-capable algorithm
-steps its fused kernel at block size ``K = 1``
-(:class:`~repro.algorithms.vectorized.KernelAlgorithm`).
+lane's row back to its session.  Only kernel-capable algorithms pack
+into multi-lane waves; a wave steps the fused kernel at block size
+``K = 1`` (:class:`~repro.algorithms.vectorized.KernelAlgorithm`).
 
 Bit-parity licensing
 --------------------
@@ -25,10 +25,10 @@ instance bit-for-bit.  Three properties make cross-lane packing safe:
   of a wave sees a uniformly packed ``(B, r, d)`` (or all-empty) step —
   the only shape a kernel steps.
 
-Scalar-adapter lanes (algorithms without a batched form, kernels that
-pool earlier steps, or constructor parameters) do consume ``t``, so
-they are never packed into multi-lane waves: the pool advances them one
-lane at a time with their true step index.  With fusion disabled
+Scalar-adapter lanes (algorithms without a kernel such as ``coin-flip``,
+kernels that pool earlier steps, or constructor parameters) may consume
+``t``, so they are never packed into multi-lane waves: the pool advances
+them one lane at a time with their true step index.  With fusion disabled
 (``--no-fuse`` / :func:`~repro.core.kernels.fusion_enabled`), *all*
 lanes take that single-lane path through the scalar reference rules —
 bit-identical, just slower.
@@ -61,7 +61,7 @@ _RUNTIME_CACHE_LIMIT = 64
 def poolable(spec: SessionSpec) -> bool:
     """Whether lanes of this spec may share a multi-lane wave.
 
-    True for parameter-free algorithms with a batched form under the
+    True for parameter-free algorithms with a fused kernel under the
     default metric — those decide independently of ``t`` and of batch
     composition (given carried lane state).  Kernels with the
     ``"stack"`` layout (``lazy``, ``move-to-min``) pool requests of

@@ -34,7 +34,7 @@ class KServerLineWorkload(WorkloadGenerator):
         Per-step movement cap in configuration space; the default
         ``4 * width`` never binds (one Double Coverage step moves at
         most ``2 * width`` in ℓ1), preserving the uncapped semantics of
-        the standalone loops.
+        the classical problem.
     width:
         Requests are uniform on ``[0, width]``; servers start evenly
         spaced across the segment.

@@ -1,8 +1,17 @@
-"""Tests for the classical Page Migration substrate."""
+"""Tests for the classical Page Migration substrate.
+
+The online strategies run on the engine: each is wrapped in
+:class:`~repro.algorithms.page_adapters.PageMigrationAdapter` and played
+under the network's :class:`~repro.core.metric.GraphMetric` on node
+requests, with a cap past the diameter (the classical model is uncapped).
+"""
 
 import numpy as np
 import pytest
 
+from repro.algorithms.page_adapters import PageMigrationAdapter
+from repro.core import simulate, simulate_batch
+from repro.core.metric import GraphMetric, graph_point
 from repro.pagemigration import (
     CoinFlipGraph,
     CountMoveTo,
@@ -16,8 +25,31 @@ from repro.pagemigration import (
     path_graph,
     random_geometric,
     random_tree,
-    simulate_page_migration,
 )
+from repro.workloads.base import make_instance
+
+
+class _Run:
+    """An engine trace read back in page-migration terms."""
+
+    def __init__(self, trace):
+        self.pages = trace.positions[:, 0].astype(np.int64)
+        self.movement = trace.total_movement_cost
+        self.service = trace.total_service_cost
+        self.total = trace.total_cost
+
+
+def node_instance(net, requests, start=0, D=1.0):
+    """Node requests as graph points, under a cap the diameter never reaches."""
+    return make_instance(
+        np.stack([graph_point(int(v)) for v in requests])[:, None, :],
+        start=graph_point(start), D=D, m=float(net.distances.max()) + 1.0)
+
+
+def play(net, requests, algorithm, start=0, D=1.0):
+    """Play a classical strategy on node requests through the engine."""
+    instance = node_instance(net, requests, start=start, D=D)
+    return _Run(simulate(instance, PageMigrationAdapter(algorithm), metric=GraphMetric(net)))
 
 
 class TestNetworks:
@@ -68,41 +100,57 @@ class TestNetworks:
 class TestSimulation:
     def test_static_never_moves(self):
         net = complete_uniform(4)
-        res = simulate_page_migration(net, np.array([1, 2, 3]), StaticPage(), start=0, D=2.0)
+        res = play(net, np.array([1, 2, 3]), StaticPage(), start=0, D=2.0)
         assert res.movement == 0.0
         assert res.service == pytest.approx(3.0)
         np.testing.assert_array_equal(res.pages, [0, 0, 0, 0])
 
     def test_greedy_always_moves(self):
         net = complete_uniform(4)
-        res = simulate_page_migration(net, np.array([1, 2]), GreedyFollow(), start=0, D=2.0)
+        res = play(net, np.array([1, 2]), GreedyFollow(), start=0, D=2.0)
         assert res.service == 0.0
         assert res.movement == pytest.approx(2.0 * 2.0)
 
     def test_invalid_request_rejected(self):
         net = complete_uniform(3)
-        with pytest.raises(ValueError):
-            simulate_page_migration(net, np.array([5]), StaticPage())
+        with pytest.raises(ValueError, match="outside"):
+            play(net, np.array([5]), StaticPage())
 
     def test_move_to_min_phases(self):
         net = path_graph(5)
         # D=2 -> phases of 2 requests; all requests at node 4.
-        res = simulate_page_migration(net, np.array([4, 4, 4, 4]), MoveToMinGraph(),
-                                      start=0, D=2.0)
+        res = play(net, np.array([4, 4, 4, 4]), MoveToMinGraph(), start=0, D=2.0)
         assert res.pages[-1] == 4
 
     def test_coinflip_deterministic_with_seed(self):
         net = complete_uniform(6)
         reqs = np.random.default_rng(0).integers(0, 6, size=30)
-        r1 = simulate_page_migration(net, reqs, CoinFlipGraph(np.random.default_rng(3)), D=2.0)
-        r2 = simulate_page_migration(net, reqs, CoinFlipGraph(np.random.default_rng(3)), D=2.0)
+        r1 = play(net, reqs, CoinFlipGraph(np.random.default_rng(3)), D=2.0)
+        r2 = play(net, reqs, CoinFlipGraph(np.random.default_rng(3)), D=2.0)
         np.testing.assert_array_equal(r1.pages, r2.pages)
 
     def test_count_move_to_migrates_to_hot_node(self):
         net = complete_uniform(3)
         reqs = np.array([1] * 10)
-        res = simulate_page_migration(net, reqs, CountMoveTo(), start=0, D=3.0)
+        res = play(net, reqs, CountMoveTo(), start=0, D=3.0)
         assert res.pages[-1] == 1
+
+    @pytest.mark.parametrize("make", [
+        StaticPage, GreedyFollow, MoveToMinGraph, CountMoveTo,
+        lambda: CoinFlipGraph(np.random.default_rng(3)),
+    ], ids=["static", "greedy", "move-to-min", "count", "coin-flip"])
+    def test_batched_lanes_match_scalar_runs(self, make):
+        net = random_tree(9, np.random.default_rng(4))
+        metric = GraphMetric(net)
+        instances = [node_instance(net, np.random.default_rng(s).integers(0, 9, size=30), D=2.0)
+                     for s in range(3)]
+        batch = simulate_batch(instances, lambda: PageMigrationAdapter(make()), metric=metric)
+        for i, instance in enumerate(instances):
+            ref = simulate(instance, PageMigrationAdapter(make()), metric=metric)
+            lane = batch.trace(i)
+            np.testing.assert_array_equal(lane.positions, ref.positions)
+            np.testing.assert_array_equal(lane.movement_costs, ref.movement_costs)
+            np.testing.assert_array_equal(lane.service_costs, ref.service_costs)
 
 
 class TestOfflineDP:
@@ -116,7 +164,7 @@ class TestOfflineDP:
         reqs = np.random.default_rng(3).integers(0, 8, size=40)
         opt = offline_page_migration(net, reqs, start=0, D=2.0)
         for alg in (StaticPage(), GreedyFollow(), MoveToMinGraph(), CountMoveTo()):
-            res = simulate_page_migration(net, reqs, alg, start=0, D=2.0)
+            res = play(net, reqs, alg, start=0, D=2.0)
             assert opt.total <= res.total + 1e-9
 
     def test_dp_trajectory_cost_consistent(self):
@@ -132,7 +180,7 @@ class TestOfflineDP:
             net = complete_uniform(10)
             reqs = rng.integers(0, 10, size=60)
             opt = offline_page_migration(net, reqs, start=0, D=4.0)
-            res = simulate_page_migration(net, reqs, MoveToMinGraph(), start=0, D=4.0)
+            res = play(net, reqs, MoveToMinGraph(), start=0, D=4.0)
             if opt.total > 0:
                 assert res.total / opt.total <= 7.0 + 1e-9
 

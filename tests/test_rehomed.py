@@ -1,7 +1,6 @@
-"""Parity tests for the re-homed k-server and page-migration scenarios.
+"""Parity tests for the k-server and page-migration scenarios.
 
-The metric refactor (PR 10) re-expresses the classical baselines as
-scenarios of the one engine:
+The classical baselines run as scenarios of the one engine:
 
 * k-server on the line runs in configuration space :math:`\\mathbb{R}^k`
   under the ``l1`` metric with movement-only accounting
@@ -10,15 +9,21 @@ scenarios of the one engine:
 * classical page migration runs under the ``graph`` metric through
   :class:`~repro.algorithms.page_adapters.PageMigrationAdapter`.
 
-These tests pin the re-homing to the standalone modules they replace:
-configuration / page trajectories must be *bit-identical* (the decision
-rules replay the legacy arithmetic operation-for-operation, and both
-graph cost paths read the same all-pairs table), while k-server cost
-totals agree to float rounding only — the legacy loop accumulates its
-own increments (e.g. ``2 * d`` for an interior double move) where the
-engine measures ``|new - old|_1``, the same quantity associated
-differently.
+These tests pin the engine forms to the standalone loops they replaced,
+whose outputs at these seeds were captured before the loops were removed
+and are frozen in ``tests/data/rehomed_legacy.json`` (floats written by
+``json``, which round-trips them bit for bit; CHANGES.md records the
+capture command).  Configuration / page trajectories
+must be *bit-identical* (the decision rules replay the legacy arithmetic
+operation-for-operation, and both graph cost paths read the same
+all-pairs table), while k-server cost totals agree to float rounding
+only — the legacy loop accumulated its own increments (e.g. ``2 * d``
+for an interior double move) where the engine measures
+``|new - old|_1``, the same quantity associated differently.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +33,6 @@ from repro.algorithms.registry import make_algorithm
 from repro.api import Scenario, run
 from repro.core.metric import graph_point
 from repro.core.simulator import simulate
-from repro.kserver.double_coverage import double_coverage_line, greedy_kserver_line
 from repro.pagemigration.algorithms import (
     CoinFlipGraph,
     CountMoveTo,
@@ -36,12 +40,14 @@ from repro.pagemigration.algorithms import (
     MoveToMinGraph,
     StaticPage,
 )
-from repro.pagemigration.simulator import simulate_page_migration
 from repro.workloads.base import make_instance
 from repro.workloads.graphnet import topology_metric
 from repro.workloads.kserver import KServerLineWorkload
 
-KSERVER_LEGACY = {"dc-line": double_coverage_line, "greedy-kserver": greedy_kserver_line}
+with (Path(__file__).parent / "data" / "rehomed_legacy.json").open() as fh:
+    LEGACY = json.load(fh)
+
+KSERVER_ALGORITHMS = ("dc-line", "greedy-kserver")
 KSERVER_SEEDS = (0, 1, 7)
 
 PM_MAKERS = {
@@ -55,35 +61,35 @@ PM_SEEDS = (0, 3)
 
 
 class TestKServerParity:
-    """dc-line / greedy-kserver reproduce repro.kserver.double_coverage."""
+    """dc-line / greedy-kserver reproduce the frozen standalone loops."""
 
-    def _run_pair(self, algorithm: str, seed: int, k: int = 3, T: int = 120):
-        workload = KServerLineWorkload(T=T, dim=k)
+    def _run_pair(self, algorithm: str, seed: int):
+        fixture = LEGACY["kserver"]
+        workload = KServerLineWorkload(T=fixture["T"], dim=fixture["k"])
         instance = workload.generate(np.random.default_rng(seed))
-        xs = instance.requests.packed[:, 0, 0]
-        legacy = KSERVER_LEGACY[algorithm](workload.start_config(), xs)
+        legacy = fixture["runs"][f"{algorithm}/{seed}"]
         trace = simulate(instance, make_algorithm(algorithm), metric="l1")
         return legacy, trace
 
-    @pytest.mark.parametrize("algorithm", sorted(KSERVER_LEGACY))
+    @pytest.mark.parametrize("algorithm", KSERVER_ALGORITHMS)
     @pytest.mark.parametrize("seed", KSERVER_SEEDS)
     def test_positions_bitwise(self, algorithm, seed):
         legacy, trace = self._run_pair(algorithm, seed)
-        np.testing.assert_array_equal(trace.positions, legacy.positions)
+        np.testing.assert_array_equal(trace.positions, np.array(legacy["positions"]))
 
-    @pytest.mark.parametrize("algorithm", sorted(KSERVER_LEGACY))
+    @pytest.mark.parametrize("algorithm", KSERVER_ALGORITHMS)
     @pytest.mark.parametrize("seed", KSERVER_SEEDS)
     def test_total_cost_matches(self, algorithm, seed):
         legacy, trace = self._run_pair(algorithm, seed)
         np.testing.assert_allclose(
-            float(trace.movement_costs.sum()), legacy.total, rtol=1e-12)
+            float(trace.movement_costs.sum()), legacy["total"], rtol=1e-12)
 
     def test_no_service_cost(self):
         # MOVEMENT_ONLY accounting: the request-point encoding never costs.
         _, trace = self._run_pair("dc-line", seed=0)
         assert float(np.abs(trace.service_costs).sum()) == 0.0
 
-    @pytest.mark.parametrize("algorithm", sorted(KSERVER_LEGACY))
+    @pytest.mark.parametrize("algorithm", KSERVER_ALGORITHMS)
     def test_api_scalar_batched_parity(self, algorithm):
         base = Scenario.workload(
             "kserver-line", algorithm,
@@ -95,23 +101,21 @@ class TestKServerParity:
 
 
 class TestPageMigrationParity:
-    """pm-* adapters reproduce repro.pagemigration.simulator exactly."""
+    """pm-* adapters reproduce the frozen standalone loop exactly."""
 
     def _node_instance(self, metric, nodes, start, D, m):
         points = np.stack([graph_point(int(v)) for v in nodes])[:, None, :]
         return make_instance(points, start=graph_point(start), D=D, m=m,
                              name="pm-parity")
 
-    def _run_pair(self, name: str, topology: str, seed: int,
-                  T: int = 80, D: float = 2.0):
+    def _run_pair(self, name: str, topology: str, seed: int):
+        fixture = LEGACY["pagemigration"]
         metric = topology_metric(topology)
         network = metric.network
-        rng = np.random.default_rng(seed)
-        nodes = rng.integers(0, network.n, size=T)
-        legacy = simulate_page_migration(network, nodes, PM_MAKERS[name](),
-                                         start=0, D=D)
+        nodes = np.random.default_rng(seed).integers(0, network.n, size=fixture["T"])
+        legacy = fixture["runs"][f"{name}/{topology}/{seed}"]
         m = float(network.distances.max()) + 1.0  # cap must never bind
-        instance = self._node_instance(metric, nodes, start=0, D=D, m=m)
+        instance = self._node_instance(metric, nodes, start=0, D=fixture["D"], m=m)
         trace = simulate(instance, PageMigrationAdapter(PM_MAKERS[name]()),
                          metric=metric)
         return legacy, trace
@@ -125,14 +129,14 @@ class TestPageMigrationParity:
         np.testing.assert_array_equal(trace.positions[:, 0], trace.positions[:, 1])
         np.testing.assert_array_equal(trace.positions[:, 2], 0.0)
         np.testing.assert_array_equal(
-            trace.positions[:, 0].astype(np.int64), legacy.pages)
+            trace.positions[:, 0].astype(np.int64), legacy["pages"])
         np.testing.assert_allclose(
-            float(trace.movement_costs.sum()), legacy.movement, rtol=1e-12)
+            float(trace.movement_costs.sum()), legacy["movement"], rtol=1e-12)
         np.testing.assert_allclose(
-            float(trace.service_costs.sum()), legacy.service, rtol=1e-12)
+            float(trace.service_costs.sum()), legacy["service"], rtol=1e-12)
         np.testing.assert_allclose(
             float(trace.movement_costs.sum() + trace.service_costs.sum()),
-            legacy.total, rtol=1e-12)
+            legacy["total"], rtol=1e-12)
 
     def test_adapter_requires_graph_metric(self):
         workload = KServerLineWorkload(T=5, dim=3)

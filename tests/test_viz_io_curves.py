@@ -1,5 +1,4 @@
-"""Tests for viz rendering, instance/trace persistence, ratio curves,
-and the dynamic page-migration substrate."""
+"""Tests for viz rendering, instance/trace persistence and ratio curves."""
 
 import numpy as np
 import pytest
@@ -17,16 +16,6 @@ from repro.core import (
     simulate,
 )
 from repro.offline import solve_line
-from repro.pagemigration import (
-    DynamicNetwork,
-    MigrationNetwork,
-    MoveToMinGraph,
-    StaticPage,
-    offline_dynamic_page_migration,
-    offline_page_migration,
-    simulate_dynamic_page_migration,
-    simulate_page_migration,
-)
 from repro.viz import render_line_chart, render_plane, sparkline
 
 
@@ -157,62 +146,3 @@ class TestCurves:
         tr = simulate(line_instance, StaticServer(), delta=0.0)
         with pytest.raises(ValueError):
             separation_curve(tr, np.zeros((3, 1)))
-
-
-class TestDynamicPageMigration:
-    def test_static_network_matches_classical_substrate(self):
-        """Speed-0 dynamic network reproduces the static simulator exactly."""
-        rng = np.random.default_rng(0)
-        positions = rng.uniform(-5, 5, size=(6, 2))
-        T = 30
-        requests = rng.integers(0, 6, size=T)
-        dyn = DynamicNetwork.static(T, positions)
-
-        # Static reference on the same metric (complete graph of Euclidean
-        # distances).
-        import networkx as nx
-
-        g = nx.complete_graph(6)
-        for i, j in g.edges():
-            g[i][j]["weight"] = float(np.linalg.norm(positions[i] - positions[j]))
-        net = MigrationNetwork.from_graph(g)
-
-        for make in (StaticPage, MoveToMinGraph):
-            cost_dyn = simulate_dynamic_page_migration(dyn, requests, make(), start=0, D=2.0)
-            res_static = simulate_page_migration(net, requests, make(), start=0, D=2.0)
-            assert cost_dyn == pytest.approx(res_static.total, rel=1e-9)
-
-    def test_offline_matches_static_dp(self):
-        rng = np.random.default_rng(1)
-        positions = rng.uniform(-5, 5, size=(5, 2))
-        T = 20
-        requests = rng.integers(0, 5, size=T)
-        dyn = DynamicNetwork.static(T, positions)
-        opt_dyn = offline_dynamic_page_migration(dyn, requests, start=0, D=2.0)
-
-        import networkx as nx
-
-        g = nx.complete_graph(5)
-        for i, j in g.edges():
-            g[i][j]["weight"] = float(np.linalg.norm(positions[i] - positions[j]))
-        net = MigrationNetwork.from_graph(g)
-        opt_static = offline_page_migration(net, requests, start=0, D=2.0)
-        assert opt_dyn == pytest.approx(opt_static.total, rel=1e-9)
-
-    def test_dynamic_walkers_online_vs_offline(self):
-        rng = np.random.default_rng(2)
-        dyn = DynamicNetwork.random_walkers(40, 8, rng, speed=0.2)
-        requests = rng.integers(0, 8, size=40)
-        opt = offline_dynamic_page_migration(dyn, requests, start=0, D=2.0)
-        online = simulate_dynamic_page_migration(dyn, requests, MoveToMinGraph(),
-                                                 start=0, D=2.0)
-        assert opt <= online + 1e-9
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="T, n, 2"):
-            DynamicNetwork(np.zeros((5, 3)))
-
-    def test_request_length_validation(self):
-        dyn = DynamicNetwork.static(5, np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="per network step"):
-            simulate_dynamic_page_migration(dyn, np.zeros(3, dtype=int), StaticPage())
