@@ -14,7 +14,7 @@ were ``tables_identical``, and the script exits 1 after printing it.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_cold_compare.py \\
-        --src before=/path/to/parent/src --src after=src
+        --src before=/path/to/parent/src --src after=src [--ids E4 E13] [--seed 1]
 
 The JSON record printed last is meant to be pasted by hand into
 ``BENCH_experiments.json`` under a key naming the change it measures.
@@ -30,8 +30,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-SEED = 0
 
 _CHILD = r"""
 import json, sys, tempfile, time
@@ -63,6 +61,7 @@ def main(argv=None) -> int:
     parser.add_argument("--ids", nargs="+", default=["E5", "E9", "E17"])
     parser.add_argument("--scale", type=float, default=0.4)
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     trees = dict(spec.split("=", 1) for spec in args.src)
@@ -71,7 +70,7 @@ def main(argv=None) -> int:
     for rnd in range(args.rounds):
         for eid in args.ids:
             for label, src in trees.items():
-                run = _cold_run(src, eid, args.scale, SEED)
+                run = _cold_run(src, eid, args.scale, args.seed)
                 if run["cached"]:
                     print(f"{eid} [{label}] served {run['cached']} cached cells", file=sys.stderr)
                     return 1
@@ -95,7 +94,7 @@ def main(argv=None) -> int:
                 f"interleaved rounds across {', '.join(labels)}; tables_identical: "
                 f"the rendered tables (precision=10) match byte for byte across trees",
         "scale": args.scale,
-        "seed": SEED,
+        "seed": args.seed,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),

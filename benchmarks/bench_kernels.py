@@ -47,7 +47,7 @@ def test_dp_line_throughput(benchmark):
     inst = wl.generate(np.random.default_rng(1))
 
     def kernel():
-        return solve_line(inst, grid_size=1024).cost
+        return solve_line(inst).cost
 
     assert benchmark(kernel) >= 0
 

@@ -3,18 +3,17 @@
 The fused-kernel fast path is only trustworthy because three artifacts
 stay in lock-step: the :data:`repro.core.kernels.KERNELS` registry, which
 binds each kernel to an algorithm *registry name* (the single source of
-the engine's dispatch and of ``VECTORIZED``'s kernel entries), the
-``ALGORITHMS`` registry those names must exist in, and the bit-parity
-suite in ``tests/test_kernels.py`` that proves fused == scalar
-reference.  A new algorithm that lands in one place but not the others
+the engine's dispatch and of ``VECTORIZED``), the ``ALGORITHMS``
+registry those names must exist in, and the bit-parity suite in
+``tests/test_kernels.py`` that proves fused == scalar reference.  A new algorithm that lands in one place but not the others
 either silently loses the fast path or — worse — gains an unproven one.
 
 This project-wide rule checks, purely from the ASTs:
 
 * every ``KERNELS`` key is an ``ALGORITHMS`` key (no dead kernels the
-  engine can never select by name);
-* every literal ``VECTORIZED`` key is also an ``ALGORITHMS`` key (no
-  orphan batched entries unreachable by name);
+  engine can never select by name).  ``VECTORIZED`` needs no check of its
+  own: it is a comprehension over ``KERNELS``, so its keys are exactly
+  the ``KERNELS`` keys this check already ties to ``ALGORITHMS``;
 * the parity test module references every kernel — either by importing
   ``KERNELS`` itself (parametrizing over the registry covers all
   entries, present and future) or by naming each kernel as a string
@@ -36,7 +35,6 @@ from ..registry import rule
 
 __all__ = ["check_reg001"]
 
-VECTORIZED_PATH = "src/repro/algorithms/vectorized.py"
 KERNELS_PATH = "src/repro/core/kernels.py"
 ALGORITHMS_PATH = "src/repro/algorithms/registry.py"
 PARITY_TEST_PATH = "tests/test_kernels.py"
@@ -115,17 +113,6 @@ def check_reg001(index: ModuleIndex) -> Iterator[Finding]:
                         "ALGORITHMS registry entry — dead kernel the engine "
                         "can never select",
             )
-
-    vec = index.module(VECTORIZED_PATH)
-    vectorized = _dict_assignment(vec, "VECTORIZED") if vec is not None else None
-    if vectorized is not None:
-        for name, line in sorted(_string_keys(vectorized).items()):
-            if name not in algo_keys:
-                yield Finding(
-                    path=vec.relpath, line=line, col=0, rule="REG001",
-                    message=f"vectorized entry {name!r} has no ALGORITHMS "
-                            "registry entry — unreachable by registry name",
-                )
 
     parity = index.module(PARITY_TEST_PATH)
     if parity is None:

@@ -47,7 +47,7 @@ def cell_potential(regime: str, delta: float, cell_seed: int, T: int) -> dict:
                        requests_per_step=r)
     inst = collapse_to_centers(wl.generate(np.random.default_rng(cell_seed)))
     tr = simulate(inst, MoveToCenter(), delta=delta)
-    dp = solve_line(inst, grid_size=None)
+    dp = solve_line(inst)
     rep = verify_potential_argument(inst, tr, dp.positions, delta)
     return {
         "max_k": rep.max_k,

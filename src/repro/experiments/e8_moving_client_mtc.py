@@ -7,16 +7,16 @@ Runs the moving-client MtC on random-waypoint patrol agents for a sweep of
 * ``m_a = 2 m_s`` (contrast, Theorem 8's regime): on the adversarial
   construction the ratio diverges — shown side by side.
 
-OPT is bracketed by the exact 1-D DP (agents patrol a line here so the
-certificate is tight); a 2-D spot row uses the primal–dual bracket.
+OPT comes from the exact 1-D solver (agents patrol a line here, so the
+bracket is rounding-sized); a 2-D spot row uses the primal–dual bracket.
 
 Declared as an orchestrator sweep: the Thm-8 contrast is one generic
 ``thm8`` scenario cell per T (:func:`repro.api.runtime.scenario_units`,
 keyed by the unscaled T — at small scales two T values share one scaled
 horizon, and with it one content address, so they cannot be a
 ``Scenario.grid``), and the 2-D spot row is a ``ratio="bracket"``
-scenario cell.  The patrol rows divide by the DP bracket's lower end on a
-finer grid than the scenario runtime's default, and stay function cells.
+scenario cell.  The patrol rows divide by the line bracket's lower end
+and stay function cells.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ D = 4.0
 
 
 def cell_patrol(T_wl: int, n_seeds: int, seed: int) -> dict:
-    """The O(1) regime: equal speeds, certified against the 1-D DP."""
+    """The O(1) regime: equal speeds, certified against the exact 1-D optimum."""
     wl = PatrolAgentWorkload(T_wl, dim=1, D=D, m_server=1.0, m_agent=1.0, arena=20.0)
     insts = [wl.generate(np.random.default_rng(s)).as_msp()
              for s in sweep_seeds(seed, n_seeds)]
     costs = simulate_batch(insts, "mtc-moving-client", delta=0.0).total_costs
     ratios = [
-        float(cost) / max(bracket_optimum(inst, grid_size=768).lower, 1e-12)
+        float(cost) / max(bracket_optimum(inst).lower, 1e-12)
         for inst, cost in zip(insts, costs)
     ]
     return {"ratios": np.array(ratios, dtype=np.float64)}

@@ -254,10 +254,16 @@ def solve_two_servers_line(
 ) -> TwoServerDPResult:
     """Exact (grid) offline optimum for two capped servers on the line.
 
-    The state is a pair of grid cells; the min-plus transition factorises
-    into two banded relaxations (one per server axis), and the same
-    feasible/relaxed band pair as :mod:`repro.offline.dp_line` yields a
-    certified bracket.
+    The state is a pair of cells of a uniform grid of pitch ``h``; the
+    min-plus transition factorises into two banded relaxations (one per
+    server axis), run with two bands:
+
+    * ``B = floor(m/h)`` keeps every grid move within the cap, so its value
+      is the cost of a feasible trajectory: an upper bound;
+    * ``B = floor(m/h) + 2`` admits every continuous trajectory snapped to
+      its nearest cells (``h/2`` off per endpoint), whose movement grows by
+      at most ``h`` per server and step and whose service by ``h/2`` per
+      request; its value less that growth is a lower bound.
     """
     starts = np.asarray(starts, dtype=np.float64).reshape(2)
     pts = np.concatenate([np.asarray(b, dtype=np.float64).reshape(-1) for b in batches]) \

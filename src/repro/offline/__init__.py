@@ -1,6 +1,7 @@
 """Offline-optimum solvers and brackets.
 
-* :func:`solve_line` — exact 1-D grid DP (with certified error bracket);
+* :func:`solve_line` — exact 1-D optimum by a slope-merge dynamic program
+  (bracket of rounding size);
 * :func:`solve_grid` — exact small 2-D grid DP;
 * :func:`convex_bracket` — certified bracket of the capped program by a
   primal–dual (PDHG) solve: the dual value below, the replayed cost of

@@ -3,8 +3,8 @@
 Experiments need a number for :math:`C_{Opt}`; this module picks the best
 available method per instance:
 
-* dimension 1 → exact grid DP (:mod:`repro.offline.dp_line`), fast and
-  tight; the primal–dual solver converges slowly on the line;
+* dimension 1 → the exact slope-merge solver (:mod:`repro.offline.dp_line`);
+  the primal–dual solver converges slowly on the line;
 * dimension 2, tiny arena → exact grid DP (:mod:`repro.offline.dp_grid`),
   opt-in (E5's cross-check);
 * otherwise → the capped program's primal–dual certificate
@@ -15,7 +15,8 @@ The returned :class:`OptBracket` carries ``(lower, upper)`` with
 ranges: ``C_Alg / upper <= ratio <= C_Alg / lower``.  It also carries the
 certificate's health: ``gap`` (``(upper − lower)/upper``), ``converged``
 (whether the solver reached its gap tolerance; always true for the exact
-DPs, whose gap is their grid resolution) and ``iterations``.  A bracket
+solvers: ``dp-line``'s gap is its stated rounding slack, ``dp-grid``'s
+its grid resolution) and ``iterations``.  A bracket
 that did not converge is still a valid bracket, only a wider one.
 """
 
@@ -66,7 +67,9 @@ class OptBracket:
     @classmethod
     def exact(cls, lower: float, upper: float, method: str,
               positions: np.ndarray) -> "OptBracket":
-        """A DP bracket: converged by construction, gap from its ends."""
+        """A bracket from an exact solver (``dp-line``, ``dp-grid``): converged
+        by construction, gap from its ends (rounding-sized for ``dp-line``,
+        the grid resolution for ``dp-grid``)."""
         gap = (upper - lower) / upper if upper > 0 else 0.0
         return cls(lower, upper, method, positions, gap)
 
@@ -101,7 +104,6 @@ class OptBracket:
 
 def bracket_optimum(
     instance: MSPInstance,
-    grid_size: int | None = None,
     grid_shape: tuple[int, int] = (32, 32),
     prefer: str | None = None,
 ) -> OptBracket:
@@ -111,16 +113,18 @@ def bracket_optimum(
     ----------
     prefer:
         Force a method: ``"dp-line"``, ``"dp-grid"`` or ``"convex"``.
-        Defaults to the best method for the dimension (DP for 1-D, the
-        primal–dual certificate otherwise; ``"dp-grid"`` is opt-in because
-        of its :math:`O(S^2)` transition).
+        Defaults to the best method for the dimension (the exact line
+        solver for 1-D, the primal–dual certificate otherwise; ``"dp-grid"``
+        is opt-in because of its :math:`O(S^2)` transition).
+    grid_shape:
+        ``dp-grid``'s grid.
     """
     method = prefer
     if method is None:
         method = "dp-line" if instance.dim == 1 else "convex"
 
     if method == "dp-line":
-        res = solve_line(instance, grid_size=grid_size)
+        res = solve_line(instance)
         return OptBracket.exact(res.lower_bound, res.cost, "dp-line", res.positions)
     if method == "dp-grid":
         res2 = solve_grid(instance, grid_shape=grid_shape)

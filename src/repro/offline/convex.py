@@ -33,9 +33,9 @@ stops once the relative gap ``(upper − lower)/upper`` is at most
 :data:`TOL`; a solve that exhausts its iteration budget instead reports
 ``converged=False``, and its (still valid) bracket is merely wide.
 
-One-dimensional instances stay on the exact line DP
+One-dimensional instances go to the exact line solver
 (:mod:`repro.offline.dp_line`): PDHG converges slowly there (up to ~17k
-iterations on E4-sized line instances), while the DP is fast and tight.
+iterations on E4-sized line instances), while the line solver is exact.
 """
 
 from __future__ import annotations

@@ -1,67 +1,85 @@
-"""Exact offline optimum brackets on the line via dynamic programming.
+"""Exact offline optimum on the line by a slope-merge dynamic program.
 
-For dimension 1 the offline problem discretizes cleanly: restrict server
-positions to a uniform grid of pitch ``h`` spanning the instance's arena
-and run the banded min-plus recursion
+In dimension 1 the capped offline program
 
-.. math:: w_t(s) = \\min_{|s'-s| \\le B h} \\big( w_{t-1}(s') + D|s'-s| \\big)
-          + \\text{service}_t(s).
+.. math:: \\min \\sum_t D|P_t - P_{t-1}| + \\sum_{t,i} |P_{a(t)} - v_{t,i}|
+          \\quad \\text{s.t.} \\; |P_t - P_{t-1}| \\le m
 
-The band ``B`` is the crux of *certification*:
+(step ``t`` served at ``P_t`` under move-first, at ``P_{t-1}`` under
+answer-first; no service terms under movement-only) has a convex,
+piecewise-linear cost-to-come ``f_t``.  Carrying its breakpoints solves
+the program exactly — the fused-lasso dynamic program of N. Johnson, "A
+dynamic programming algorithm for the fused lasso and L0-segmentation",
+JCGS 22(2), 2013, also known as the "slope trick":
 
-* **upper bound** — with ``B = floor(m/h)`` every grid trajectory moves at
-  most ``m`` per step, so the DP value is the cost of a *feasible*
-  continuous solution: ``OPT <= dp_upper``;
-* **lower bound** — with ``B = floor(m/h) + 2`` every continuous
-  trajectory snaps onto the grid (nearest grid point, error ``h/2`` per
-  endpoint) into a band-feasible one whose movement grows by at most ``h``
-  and service by ``r_t h / 2`` per step, hence
-  ``OPT >= dp_lower - sum_t (D + r_t/2) h``.
+* a request at ``v`` adds ``|x − v|``: one breakpoint of weight 2;
+* the capped move is the inf-convolution of ``f`` with ``D|u|`` on
+  ``[−m, m]``.  Every breakpoint splits by its left/right slopes
+  ``σ−, σ+`` against ``∓D`` into a piece at ``x − m`` of weight
+  ``min(σ+, −D) − σ−``, one at ``x`` of weight
+  ``min(σ+, D) − max(σ−, −D)`` and one at ``x + m`` of weight
+  ``σ+ − max(σ−, D)``; only positive pieces exist.
 
-Earlier versions used a single ``floor`` band with an additive error term;
-that silently *over*-estimated OPT on workloads drifting faster than
-``floor(m/h)·h`` per step (the grid server couldn't keep up) — the
-two-band bracket makes both sides sound for every workload.
+The breakpoints live in three stacks: ``L`` (slopes at most ``−D``, all
+shifted by ``−m`` per move through one lazy offset), ``R`` (slopes at
+least ``D``, shifted by ``+m``) and a short middle run between them.  A
+move rebalances the stacks at their two boundaries, splits the (at most
+two) straddling breakpoints and bumps the offsets, so a step does a
+bisection and a list insert per request and touches only the boundary
+breakpoints, never all ``n``.  The domain ``[a, b]`` is held as two
+breakpoints of weight :data:`_STEEP`, so its edges obey the same rules
+with no infinite slopes.
 
-The grid is auto-sized so that a per-step move spans several cells
-(``cells_per_move``); the transition is ``B`` sweeps of in-place neighbour
-relaxation (``O(S·B)`` per step), realising every shift of up to ``B``
-cells at exactly ``D·h`` per cell.
+Slopes are exact: every slope is ``k + e·D`` with integers ``k`` and
+``e ∈ {−1, 0, 1}``, kept as the integer pair, so every comparison with
+``±D`` is exact.  Positions and the value are floats; see
+:func:`_rounding_slack` for the stated bound on their rounding.
+
+Backtracking records, per step, the first point ``y_lo`` whose right
+slope is at least ``−D`` and the last point ``y_hi`` whose left slope is
+at most ``D``; from ``P_t`` the best predecessor is
+``clip(clip(P_t, y_lo, y_hi), P_t − m, P_t + m)``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.instance import MSPInstance
+from ..core.simulator import replay_cost
 
 __all__ = ["LineDPResult", "solve_line"]
+
+#: Weight of the two domain-edge breakpoints: an integer slope step far
+#: beyond any real slope (at most ``N + D``), so the edges always split.
+_STEEP = 1 << 62
+
+_EPS = 2.0 ** -53
 
 
 @dataclass(frozen=True)
 class LineDPResult:
-    """Outcome of the 1-D offline DP.
+    """Outcome of the exact 1-D solve.
 
     Attributes
     ----------
     cost:
-        Cost of the best *feasible* grid trajectory (upper bound on the
-        continuous optimum).
+        Replayed cost of ``positions``, a cap-feasible optimal trajectory
+        (upper end of the bracket).
     lower_bound:
-        Certified lower bound on the continuous optimum (relaxed-band DP
-        value minus the snapping correction).
+        The computed minimum minus :func:`_rounding_slack` (lower end).
     positions:
-        ``(T + 1, 1)`` feasible trajectory achieving ``cost``.
-    grid:
-        The ``(S,)`` grid used.
+        ``(T + 1, 1)`` trajectory achieving ``cost``; ``positions[0]`` is
+        the start exactly.
     """
 
     cost: float
     lower_bound: float
     positions: np.ndarray
-    grid: np.ndarray
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -69,159 +87,248 @@ class LineDPResult:
         return (self.lower_bound, self.cost)
 
 
-def _arena(instance: MSPInstance, padding: float) -> tuple[float, float]:
+class _Slopes:
+    """The breakpoint stacks of one cost-to-come ``f_t``.
+
+    ``lx`` holds ``L``'s positions in ascending order minus the lazy
+    offset ``off_l``; ``rq`` holds ``R``'s as ``off_r − x``, ascending, so
+    that both stacks keep their boundary element last.  Weights are
+    ``(k, e)`` pairs meaning ``k + e·D``.  ``sl`` is the slope just right
+    of ``L``'s top, ``sr`` the slope just left of ``R``'s top.
+    """
+
+    def __init__(self, start: float, D: float, m: float) -> None:
+        self.D, self.m = D, m
+        self.lx, self.lw, self.off_l = [start], [(_STEEP, 0)], 0.0
+        self.rq, self.rw, self.off_r = [-start], [(_STEEP, 0)], 0.0
+        self.mx: list[float] = []
+        self.mw: list[tuple[int, int]] = []
+        self.sl = (0, 0)
+        self.sr = (0, 0)
+        # Rounding bookkeeping for _rounding_slack: the weight of the real
+        # breakpoints converted between stored and actual positions, and
+        # how often a domain edge was.
+        self.moved = 0.0
+        self.edge_moves = 0
+
+    def _vs(self, s: tuple[int, int], c: int) -> int:
+        """Exact sign of slope ``s`` minus ``c·D`` (``c = ±1``): ``e``
+        is at most 1 in size, so ``(c − e)·D`` is exact, and Python
+        compares an integer with a float exactly."""
+        x = (c - s[1]) * self.D
+        return (s[0] > x) - (s[0] < x)
+
+    def _converted(self, w: tuple[int, int]) -> None:
+        """Count a breakpoint of weight ``w`` moved between a stack and
+        the middle run (its position rounds once each way)."""
+        if abs(w[0]) >= _STEEP >> 1:
+            self.edge_moves += 1
+        else:
+            self.moved += w[0] + w[1] * self.D
+
+    def serve(self, v: float) -> float:
+        """Add ``|x − v|``; returns ``|a − v|``, the change of ``f(a)``."""
+        a = self.lx[0] + self.off_l
+        b = self.off_r - self.rq[0]
+        sl, sr = self.sl, self.sr
+        if v <= a:
+            self.sl, self.sr = (sl[0] + 1, sl[1]), (sr[0] + 1, sr[1])
+        elif v >= b:
+            self.sl, self.sr = (sl[0] - 1, sl[1]), (sr[0] - 1, sr[1])
+        elif v < self.lx[-1] + self.off_l:
+            _insert(self.lx, self.lw, v - self.off_l)
+            self.moved += 2.0
+            self.sl, self.sr = (sl[0] + 1, sl[1]), (sr[0] + 1, sr[1])
+        elif v > self.off_r - self.rq[-1]:
+            _insert(self.rq, self.rw, self.off_r - v)
+            self.moved += 2.0
+            self.sl, self.sr = (sl[0] - 1, sl[1]), (sr[0] - 1, sr[1])
+        else:
+            _insert(self.mx, self.mw, v)
+            self.sl, self.sr = (sl[0] - 1, sl[1]), (sr[0] + 1, sr[1])
+        return abs(a - v)
+
+    def move(self) -> tuple[float, float]:
+        """Inf-convolve with the capped ``D|u|``; returns ``(y_lo, y_hi)``
+        of the function before the move."""
+        lx, lw, rq, rw, mx, mw = self.lx, self.lw, self.rq, self.rw, self.mx, self.mw
+        sl, sr = self.sl, self.sr
+        # Pull the breakpoints whose slopes left their stack into the middle
+        # run, then push the middle's clear ones out; the middle ends
+        # non-empty, from slope sl <= -D to slope sr >= D.
+        while lx and self._vs(sl, -1) > 0:
+            w = lw.pop()
+            mx.insert(0, lx.pop() + self.off_l)
+            mw.insert(0, w)
+            self._converted(w)
+            sl = (sl[0] - w[0], sl[1] - w[1])
+        while rq and self._vs(sr, 1) < 0:
+            w = rw.pop()
+            mx.append(self.off_r - rq.pop())
+            mw.append(w)
+            self._converted(w)
+            sr = (sr[0] + w[0], sr[1] + w[1])
+        while True:
+            w = mw[0]
+            up = (sl[0] + w[0], sl[1] + w[1])
+            if self._vs(up, -1) > 0:
+                break
+            lx.append(mx.pop(0) - self.off_l)
+            lw.append(mw.pop(0))
+            self._converted(w)
+            sl = up
+        while True:
+            w = mw[-1]
+            down = (sr[0] - w[0], sr[1] - w[1])
+            if self._vs(down, 1) < 0:
+                break
+            rq.append(self.off_r - mx.pop())
+            rw.append(mw.pop())
+            self._converted(w)
+            sr = down
+        y_lo = lx[-1] + self.off_l if self._vs(sl, -1) == 0 else mx[0]
+        y_hi = self.off_r - rq[-1] if self._vs(sr, 1) == 0 else mx[-1]
+        # Split the straddlers: the part of a slope step below -D moves
+        # left with L, the part above D moves right with R.
+        if self._vs(sl, -1) < 0:
+            piece = (-sl[0], -1 - sl[1])
+            lx.append(mx[0] - self.off_l)
+            lw.append(piece)
+            self._converted(piece)
+            w = mw[0]
+            mw[0] = (w[0] - piece[0], w[1] - piece[1])
+        if self._vs(sr, 1) > 0:
+            piece = (sr[0], sr[1] - 1)
+            rq.append(self.off_r - mx[-1])
+            rw.append(piece)
+            self._converted(piece)
+            w = mw[-1]
+            mw[-1] = (w[0] - piece[0], w[1] - piece[1])
+        self.sl, self.sr = (0, -1), (0, 1)
+        self.off_l -= self.m
+        self.off_r += self.m
+        return y_lo, y_hi
+
+    def minimum(self, anchor: list[float]) -> tuple[float, float]:
+        """``(argmin, min)`` of ``f``; ``anchor`` holds the terms of
+        ``f(a)``, summed here with :func:`math.fsum`."""
+        xs = [x + self.off_l for x in self.lx] + self.mx + [self.off_r - q for q in reversed(self.rq)]
+        ws = self.lw + self.mw + self.rw[::-1]
+        D = self.D
+        # The slope left of a: sl less every weight of L.
+        k, e = self.sl
+        for wk, we in self.lw:
+            k, e = k - wk, e - we
+        terms = list(anchor)
+        for j, (wk, we) in enumerate(ws):
+            k, e = k + wk, e + we
+            if k >= -e * D:  # right slope >= 0: the minimum
+                return xs[j], math.fsum(terms)
+            terms.append((k + e * D) * (xs[j + 1] - xs[j]))
+        raise ArithmeticError("cost-to-come has no minimum")  # pragma: no cover
+
+
+def _insert(keys: list[float], weights: list[tuple[int, int]], x: float) -> None:
+    """Insert a weight-2 breakpoint at ``x``, merging an equal position."""
+    i = bisect_right(keys, x)
+    if i and keys[i - 1] == x:
+        w = weights[i - 1]
+        weights[i - 1] = (w[0] + 2, w[1])
+    else:
+        keys.insert(i, x)
+        weights.insert(i, (2, 0))
+
+
+def _rounding_slack(instance: MSPInstance, state: _Slopes, upper: float) -> float:
+    """Stated bound on the rounding of the computed minimum and of ``upper``.
+
+    Slopes are exact, so only positions and values round (``ε = 2⁻⁵³``).
+    Let ``R = |P_0| + T·m + max|v|``, which bounds every position and
+    every ``|x − v|``, and ``n_t`` the requests served up to step ``t``, so
+    every real slope of ``f_t`` is at most ``n_t + D`` in size.  Moving a
+    breakpoint of weight ``w`` by ``δ`` moves ``f`` by at most ``w·δ`` on
+    the domain (for the left edge, which anchors ``f(a)``, ``w`` is the
+    slope beside it), and the moves and requests are non-expansive in the
+    sup norm, so earlier errors never grow.  The error of the minimum is
+    therefore at most the sum of:
+
+    * the offsets: the ``t``-th move rounds ``off ∓ m`` by at most
+      ``ε(t+1)m``, shifting stacks and the edge of weight at most
+      ``3(n_t + D)``;
+    * every conversion between a stored and an actual position (request
+      inserts, pops, pushes and split pieces, counted as they happen:
+      weight ``W`` of real breakpoints, ``E`` edge moves), at most ``3ε·R``
+      each: ``3ε·R·(W + E·(N + D))``;
+    * the domain edges, off by at most ``ε·m·T(T+1)/2``, which cost at most
+      ``N + D`` per unit when the optimum sits on one;
+    * the final positions, differences, ``slope·length`` products, the
+      ``|a − v|`` terms and their :func:`math.fsum`: at most
+      ``9ε·(N + D)·R``.
+
+    The replayed ``upper`` sums at most ``2T + r_max + 6`` roundings of
+    nonnegative terms, so it is within ``γ_{2T + r_max + 6}·upper`` of the
+    exact cost of its trajectory; adding that too makes a correct solve
+    return ``lower <= OPT <= upper`` with ``lower <= upper``.
+    """
+    counts = instance.requests.counts
+    T = instance.length
+    D, m = float(instance.D), float(instance.m)
     pts = instance.requests.all_points()
-    lo = hi = float(instance.start[0])
-    if pts.shape[0]:
-        lo = min(lo, float(pts.min()))
-        hi = max(hi, float(pts.max()))
-    pad = padding * instance.m + 1e-9
-    return lo - pad, hi + pad
+    R = abs(float(instance.start[0])) + T * m + float(np.abs(pts).max(initial=0.0))
+    n_t = np.cumsum(counts).astype(np.float64)
+    N, r_max = float(n_t[-1]), float(counts.max())
+    offsets = 3.0 * m * float(((n_t + D) * np.arange(1, T + 1)).sum())
+    conversions = 3.0 * R * (state.moved + state.edge_moves * (N + D))
+    edges = (N + D) * m * T * (T + 1) / 2.0
+    K = 2.0 * T + r_max + 6.0
+    return _EPS * (offsets + conversions + edges + 9.0 * (N + D) * R) + K * _EPS / (1.0 - K * _EPS) * upper
 
 
-def _run_dp(
-    instance: MSPInstance,
-    grid: np.ndarray,
-    band: int,
-    keep_tables: bool,
-) -> tuple[float, np.ndarray | None]:
-    """One banded DP pass; returns (min cost, tables or None)."""
-    T = instance.length
-    S = grid.shape[0]
-    h = float(grid[1] - grid[0])
-    D = instance.D
-    serve_after_move = instance.cost_model.serves_after_move
-    counts_service = instance.cost_model.counts_service
-    start_idx = int(np.argmin(np.abs(grid - float(instance.start[0]))))
-    w = np.full(S, np.inf)
-    w[start_idx] = 0.0
-    tables = np.empty((T + 1, S)) if keep_tables else None
-    if tables is not None:
-        tables[0] = w
-    step_cost = D * h
+def solve_line(instance: MSPInstance) -> LineDPResult:
+    """Solve the capped offline program of a 1-D instance exactly.
 
-    requests = instance.requests
-    for t in range(T):
-        batch = requests[t]
-        if batch.count and counts_service:
-            service = np.abs(grid[:, None] - batch.points[:, 0][None, :]).sum(axis=1)
-        else:
-            service = None
-        if not serve_after_move and service is not None:
-            w = w + service
-        out = w.copy()
-        for _ in range(band):
-            np.minimum(out[1:], out[:-1] + step_cost, out=out[1:])
-            np.minimum(out[:-1], out[1:] + step_cost, out=out[:-1])
-        w = out
-        if serve_after_move and service is not None:
-            w = w + service
-        if tables is not None:
-            tables[t + 1] = w
-    return float(w.min()), tables
-
-
-def _recover(
-    instance: MSPInstance,
-    grid: np.ndarray,
-    band: int,
-    tables: np.ndarray,
-) -> np.ndarray:
-    """Backward argmin through the feasible DP tables."""
-    T = instance.length
-    S = grid.shape[0]
-    h = float(grid[1] - grid[0])
-    D = instance.D
-    serve_after_move = instance.cost_model.serves_after_move
-    counts_service = instance.cost_model.counts_service
-    requests = instance.requests
-
-    idx = int(np.argmin(tables[T]))
-    indices = np.empty(T + 1, dtype=np.int64)
-    indices[T] = idx
-    for t in range(T, 0, -1):
-        batch = requests[t - 1]
-        served = counts_service and batch.count > 0
-        lo_i = max(0, idx - band)
-        hi_i = min(S, idx + band + 1)
-        cand = np.arange(lo_i, hi_i)
-        move = D * h * np.abs(cand - idx)
-        if serve_after_move:
-            if served:
-                service_here = float(np.abs(grid[idx] - batch.points[:, 0]).sum())
-            else:
-                service_here = 0.0
-            scores = tables[t - 1][cand] + move + service_here
-        else:
-            if served:
-                service_prev = np.abs(
-                    grid[cand][:, None] - batch.points[:, 0][None, :]
-                ).sum(axis=1)
-            else:
-                service_prev = 0.0
-            scores = tables[t - 1][cand] + service_prev + move
-        target = tables[t][idx]
-        finite = np.isfinite(scores)
-        pool = cand[finite]
-        idx = int(pool[int(np.argmin(np.abs(scores[finite] - target)))])
-        indices[t - 1] = idx
-    return grid[indices][:, None]
-
-
-def solve_line(
-    instance: MSPInstance,
-    grid_size: int | None = None,
-    padding: float = 2.0,
-    cells_per_move: int = 8,
-    max_grid: int = 16384,
-) -> LineDPResult:
-    """Bracket the offline optimum of a 1-D instance by two banded DPs.
-
-    Parameters
-    ----------
-    instance:
-        A dimension-1 instance; every cost model is supported (service
-        terms drop out when the model charges movement only).
-    grid_size:
-        Explicit grid size ``S``.  Default: auto-sized so that one
-        per-step move spans ``cells_per_move`` cells, clamped to
-        ``[256, max_grid]`` — on long fast-drift arenas this is what keeps
-        the feasible DP able to follow the workload.
-    padding:
-        Arena padding in multiples of ``m`` beyond the request range.
+    Every cost model is supported: answer-first serves each step at the
+    position before its move, and a movement-only instance (no service
+    terms) has optimum 0 with the server at its start.  ``cost`` is the
+    replayed cost of the recovered trajectory; ``lower_bound`` is the
+    computed minimum less :func:`_rounding_slack`.  Raises
+    ``ArithmeticError`` if the lower end exceeds the upper one.
     """
     if instance.dim != 1:
         raise ValueError(f"solve_line requires dimension 1, got {instance.dim}")
-    lo, hi = _arena(instance, padding)
-    if hi - lo <= 0:
-        hi = lo + 1e-6
-    if grid_size is None:
-        span = hi - lo
-        grid_size = int(np.ceil(span / instance.m * cells_per_move)) + 1
-        grid_size = min(max(grid_size, 256), max_grid)
-    grid = np.linspace(lo, hi, grid_size)
-    # Shift the grid so the start position is exactly representable —
-    # otherwise stationary-optimal instances pay a spurious offset forever.
-    start_x = float(instance.start[0])
-    nearest = grid[int(np.argmin(np.abs(grid - start_x)))]
-    grid = grid + (start_x - nearest)
-    h = float(grid[1] - grid[0])
-    band_feasible = max(1, int(np.floor(instance.m / h + 1e-12)))
-    band_relaxed = band_feasible + 2
+    T = instance.length
+    start = float(instance.start[0])
+    model = instance.cost_model
+    if T == 0 or not model.counts_service:
+        positions = np.full((T + 1, 1), start)
+        cost = replay_cost(instance, positions, validate_cap=instance.m).total_cost
+        return LineDPResult(cost=cost, lower_bound=0.0, positions=positions)
 
-    upper_cost, tables = _run_dp(instance, grid, band_feasible, keep_tables=True)
-    lower_cost, _ = _run_dp(instance, grid, band_relaxed, keep_tables=False)
-    assert tables is not None
-    positions = _recover(instance, grid, band_feasible, tables)
+    D, m = float(instance.D), float(instance.m)
+    state = _Slopes(start, D, m)
+    serve_first = not model.serves_after_move
+    anchor = [T * D * m]  # f(a) gains D·m per move
+    bounds = []
+    for batch in instance.requests:
+        values = batch.points[:, 0].tolist()
+        if serve_first:
+            anchor.extend(state.serve(v) for v in values)
+        bounds.append(state.move())
+        if not serve_first:
+            anchor.extend(state.serve(v) for v in values)
+    x, value = state.minimum(anchor)
 
-    # Snapping correction: a continuous trajectory maps to a
-    # band_relaxed-feasible grid trajectory with movement +h and service
-    # +r_t*h/2 per step (none when service is not charged); the snapped
-    # start costs one extra D*h.
-    r = instance.requests.counts.astype(np.float64)
-    if not instance.cost_model.counts_service:
-        r = np.zeros_like(r)
-    correction = float(((instance.D + 0.5 * r) * h).sum()) + instance.D * h
-    lower = max(0.0, lower_cost - correction)
-    lower = min(lower, upper_cost)  # numerical ordering guard
-    return LineDPResult(cost=upper_cost, lower_bound=lower, positions=positions, grid=grid)
+    path = [x]
+    for y_lo, y_hi in reversed(bounds):
+        y = min(max(x, y_lo), y_hi)
+        x = min(max(y, x - m), x + m)
+        path.append(x)
+    path[-1] = start
+    positions = np.array(path[::-1])[:, None]
+    cost = replay_cost(instance, positions, validate_cap=m).total_cost
+    lower = max(0.0, value - _rounding_slack(instance, state, cost))
+    if lower > cost:
+        raise ArithmeticError(
+            f"line optimum {value!r} less its rounding slack exceeds the replayed "
+            f"cost {cost!r} of its own trajectory")
+    return LineDPResult(cost=cost, lower_bound=lower, positions=positions)

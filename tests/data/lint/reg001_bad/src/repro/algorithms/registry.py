@@ -1,4 +1,4 @@
-"""REG001 bad fixture: the algorithm registry (missing 'ghost' and 'orphan-entry')."""
+"""REG001 bad fixture: the algorithm registry (missing 'ghost')."""
 
 
 def _make_alpha():

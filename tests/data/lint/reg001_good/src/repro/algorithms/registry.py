@@ -1,4 +1,4 @@
-"""REG001 good fixture: every kernel and batched entry is registry-addressable."""
+"""REG001 good fixture: every kernel is registry-addressable."""
 
 
 def _make():
@@ -9,6 +9,5 @@ ALGORITHMS = {
     "alpha": _make,
     "beta": _make,
     "beta-soft": _make,
-    "gamma": _make,
     "scalar-only": _make,
 }

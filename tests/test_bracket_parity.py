@@ -365,28 +365,30 @@ def test_weak_duality_for_random_unit_duals(dim, seed, cost_model):
 @pytest.mark.parametrize("cost_model", ["move-first", "answer-first"])
 @pytest.mark.parametrize("source,seed", [("walk", 0), ("walk", 2), ("drift", 0), ("drift", 2)])
 def test_pdhg_bracket_nests_in_dp_line(source, seed, cost_model):
-    """On the line both brackets hold the optimum; the PDHG one, at a 1e-6 gap,
-    lies inside the grid DP's."""
+    """On the line the exact solver gives PDHG a ground truth: its
+    rounding-sized bracket lies inside PDHG's, which is within 1e-6."""
     wl = (RandomWalkWorkload(30, dim=1, D=2.0, m=1.0) if source == "walk"
           else DriftWorkload(30, dim=1, D=2.0, m=1.0))
     inst = wl.generate(np.random.default_rng(seed)).with_cost_model(CostModel(cost_model))
     cb = convex_bracket(inst)
     dp = solve_line(inst)
     assert cb.converged and cb.gap <= convex.TOL
-    assert dp.lower_bound <= cb.lower <= cb.upper <= dp.cost
+    assert dp.cost - dp.lower_bound <= 1e-9 * dp.cost
+    assert cb.lower <= dp.lower_bound <= dp.cost <= cb.upper
 
 
 def test_movement_only_dp_line_bracket_holds_zero():
     """Movement-only charges no service, so staying put costs 0: the line
-    DP's bracket must contain that optimum and nest around PDHG's [0, 0]
-    (it once added service terms and read [10.55, 12.59] here)."""
+    solver must return exactly [0, 0] with the server at its start, as
+    PDHG does (the grid DP once added service terms and read
+    [10.55, 12.59] here)."""
     wl = RandomWalkWorkload(30, dim=1, D=2.0, m=1.0)
     inst = wl.generate(np.random.default_rng(0)).with_cost_model(CostModel("movement-only"))
     cb = convex_bracket(inst)
     dp = solve_line(inst)
     assert (cb.lower, cb.upper) == (0.0, 0.0)
-    assert dp.lower_bound <= 0.0 <= dp.cost
-    assert dp.lower_bound <= cb.lower <= cb.upper <= dp.cost
+    assert (dp.lower_bound, dp.cost) == (0.0, 0.0)
+    assert np.all(dp.positions == inst.start)
 
 
 def test_e5_spot_check_pin_sits_below_the_old_lower_bound():

@@ -1,11 +1,11 @@
 """Brute-force cross-validation of the offline solvers on tiny instances.
 
-The banded DP and the product-grid 2-server DP are the certification
-backbone of every experiment; here their values are checked against
-exhaustive enumeration of *all* grid trajectories on instances small
-enough to enumerate.  This pins down the exact semantics (movement cap per
-step, move-then-serve accounting, start snapping) far more rigidly than
-sampled comparisons.
+The exact line solver and the product-grid 2-server DP are the
+certification backbone of every experiment; here their values are checked
+against exhaustive enumeration on instances small enough to enumerate.
+This pins down the exact semantics (movement cap per step, move-then-serve
+and answer-first accounting, empty steps) far more rigidly than sampled
+comparisons.
 """
 
 import itertools
@@ -15,59 +15,55 @@ import pytest
 
 from repro.core import CostModel, MSPInstance, RequestSequence
 from repro.extensions import solve_two_servers_line
-from repro.offline.dp_line import _run_dp
+from repro.offline import solve_line
 
 
-def brute_force_line(
-    grid: np.ndarray,
-    start_idx: int,
-    batches: list[np.ndarray],
-    band: int,
-    D: float,
-    serve_after_move: bool,
-) -> float:
-    """Enumerate every band-feasible grid trajectory."""
-    S = grid.shape[0]
-    h = float(grid[1] - grid[0])
-    best = np.inf
-    T = len(batches)
-    for traj in itertools.product(range(S), repeat=T):
-        prev = start_idx
-        cost = 0.0
-        ok = True
-        for t, idx in enumerate(traj):
-            if abs(idx - prev) > band:
-                ok = False
-                break
-            cost += D * h * abs(idx - prev)
-            serving = grid[idx] if serve_after_move else grid[prev]
-            pts = batches[t]
-            if pts.size:
-                cost += float(np.abs(serving - pts).sum())
-            prev = idx
-        if ok and cost < best:
-            best = cost
-    return best
+def brute_force_line(inst: MSPInstance) -> float:
+    """Exhaustive min-plus over the lattice ``{start, v_i} + m·{−2T..2T}``.
+
+    Every breakpoint of the cost-to-come ``f_t`` lies on
+    ``{start, v_i} + m·{−t..t}``, and backtracking from the argmin clips each
+    position to a breakpoint or to its successor ``± m``, so some optimal
+    trajectory stays on the ``2T``-lattice: its discrete optimum is the
+    continuous one.
+    """
+    T, m, D = inst.length, inst.m, inst.D
+    base = np.concatenate([inst.start, inst.requests.all_points()[:, 0]])
+    shifts = m * np.arange(-2 * T, 2 * T + 1)
+    lattice = np.unique((base[:, None] + shifts[None, :]).ravel())
+    model = inst.cost_model
+    start = int(np.flatnonzero(lattice == inst.start[0])[0])
+    w = np.full(lattice.size, np.inf)
+    w[start] = 0.0
+    gap = np.abs(lattice[:, None] - lattice[None, :])  # (to, from)
+    # Lattice points m apart may differ by m plus an ulp once rounded.
+    move = np.where(gap <= m * (1 + 1e-12), D * gap, np.inf)
+    for batch in inst.requests:
+        service = np.zeros(lattice.size)
+        if model.counts_service:
+            service = np.abs(lattice[:, None] - batch.points[:, 0][None, :]).sum(axis=1)
+        if not model.serves_after_move:
+            w = w + service
+        w = (w[None, :] + move).min(axis=1)
+        if model.serves_after_move:
+            w = w + service
+    return float(w.min())
 
 
-@pytest.mark.parametrize("serve_after_move", [True, False])
-@pytest.mark.parametrize("band", [1, 2])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_run_dp_matches_brute_force(serve_after_move, band, seed):
+@pytest.mark.parametrize("cost_model", ["move-first", "answer-first", "movement-only"])
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_line_matches_brute_force(cost_model, seed):
     rng = np.random.default_rng(seed)
-    S, T = 7, 4
-    grid = np.linspace(-1.5, 1.5, S)
-    h = float(grid[1] - grid[0])
-    batches = [rng.uniform(-1.5, 1.5, size=rng.integers(0, 3)) for _ in range(T)]
-    D = 2.0
-    start_idx = 3
-    model = CostModel.MOVE_FIRST if serve_after_move else CostModel.ANSWER_FIRST
-    seq = RequestSequence([b.reshape(-1, 1) for b in batches], dim=1)
-    inst = MSPInstance(seq, start=np.array([grid[start_idx]]), D=D,
-                       m=band * h + 1e-9, cost_model=model)
-    dp_cost, _ = _run_dp(inst, grid, band, keep_tables=False)
-    bf_cost = brute_force_line(grid, start_idx, batches, band, D, serve_after_move)
-    assert dp_cost == pytest.approx(bf_cost, rel=1e-12)
+    T = 4
+    batches = [rng.uniform(-1.5, 1.5, size=(rng.integers(0, 3), 1)) for _ in range(T)]
+    batches[seed % T] = np.empty((0, 1))  # an empty step in every instance
+    inst = MSPInstance(RequestSequence(batches, dim=1), start=np.array([0.25]),
+                       D=float(rng.choice([1.0, 1.5, 2.0])), m=float(rng.choice([0.4, 0.7])),
+                       cost_model=CostModel(cost_model))
+    res = solve_line(inst)
+    bf = brute_force_line(inst)
+    assert res.cost == pytest.approx(bf, rel=1e-12, abs=1e-12)
+    assert res.lower_bound <= bf <= res.cost * (1 + 1e-12)
 
 
 def brute_force_two_servers(

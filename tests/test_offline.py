@@ -1,5 +1,8 @@
 """Tests for the offline optimum solvers (DP line, DP grid, convex, brackets)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,33 @@ def _line_instance(pts, D=2.0, m=1.0, model=CostModel.MOVE_FIRST):
     return MSPInstance(seq, start=np.zeros(1), D=D, m=m, cost_model=model)
 
 
+def _ragged_line_instance(seed, cost_model):
+    """40 steps of 0–3 requests (empty steps included) around a random walk."""
+    rng = np.random.default_rng(seed)
+    T = 40
+    counts = rng.integers(0, 4, size=T)
+    base = np.cumsum(rng.normal(scale=0.6, size=T))
+    batches = [base[t] + rng.normal(scale=0.4, size=(int(c), 1)) for t, c in enumerate(counts)]
+    return MSPInstance(RequestSequence(batches, dim=1), start=np.array([0.3]),
+                       D=(1.0, 2.0, 3.5)[seed % 3], m=(0.5, 1.0)[seed % 2],
+                       cost_model=CostModel(cost_model))
+
+
+GRID_BRACKETS = json.loads(
+    (Path(__file__).parent / "data" / "dp_line_grid_brackets.json").read_text())["rows"]
+
+
 class TestSolveLine:
+    @pytest.mark.parametrize("row", GRID_BRACKETS,
+                             ids=lambda r: f"{r['cost_model']}-{r['seed']}")
+    def test_exact_value_inside_the_grid_dp_bracket(self, row):
+        """The two-band grid DP this solver replaced bracketed the same
+        optimum; its frozen brackets must hold the exact value."""
+        res = solve_line(_ragged_line_instance(row["seed"], row["cost_model"]))
+        assert res.cost - res.lower_bound <= 1e-9 * res.cost
+        assert row["lower"] <= res.lower_bound
+        assert res.cost <= row["upper"] * (1 + 1e-12)
+
     def test_requires_dim_one(self, plane_instance):
         with pytest.raises(ValueError, match="dimension 1"):
             solve_line(plane_instance)
@@ -81,15 +110,15 @@ class TestSolveLine:
         tr = replay_cost(inst, res.positions)
         assert tr.total_cost == pytest.approx(res.cost, rel=1e-9)
 
-    def test_explicit_grid_size(self, line_instance):
-        res = solve_line(line_instance, grid_size=300)
-        assert res.grid.shape == (300,)
-
     def test_start_position_row(self, line_instance):
         res = solve_line(line_instance)
-        assert abs(res.positions[0, 0] - line_instance.start[0]) <= (
-            res.grid[1] - res.grid[0]
-        )
+        assert res.positions[0, 0] == line_instance.start[0]
+
+    @pytest.mark.parametrize("model", list(CostModel))
+    def test_bracket_is_rounding_sized(self, line_instance, model):
+        res = solve_line(line_instance.with_cost_model(model))
+        assert res.lower_bound <= res.cost
+        assert res.cost - res.lower_bound <= 1e-9 * res.cost
 
 
 class TestSolveGrid:
@@ -199,6 +228,8 @@ class TestBracketOptimum:
         br = bracket_optimum(line_instance)
         assert br.method == "dp-line"
         assert br.lower <= br.upper
+        assert br.gap <= 1e-9
+        assert br.positions[0, 0] == line_instance.start[0]
 
     def test_auto_plane_uses_convex(self, plane_instance):
         br = bracket_optimum(plane_instance)

@@ -125,20 +125,31 @@ class TestMedianLaws:
 
 
 class TestDPLaws:
+    """The line solver is exact: its optimum obeys the program's symmetries."""
+
     @settings(max_examples=15)
-    @given(line_instances())
-    def test_dp_monotone_in_grid_resolution(self, inst):
-        """Finer grids cannot make the feasible optimum worse by much."""
-        coarse = solve_line(inst, grid_size=128)
-        fine = solve_line(inst, grid_size=512)
-        assert fine.cost <= coarse.cost + 1e-6 * (1 + coarse.cost)
+    @given(line_instances(), st.sampled_from([-7.25, 0.5, 3.0, 1000.0]))
+    def test_translation_leaves_the_optimum_unchanged(self, inst, shift):
+        moved = MSPInstance(RequestSequence.from_packed(inst.requests.packed + shift),
+                            start=inst.start + shift, D=inst.D, m=inst.m,
+                            cost_model=inst.cost_model)
+        a, b = solve_line(inst), solve_line(moved)
+        assert b.cost == pytest.approx(a.cost, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=15)
+    @given(line_instances(), st.sampled_from([0.5, 2.0, 3.0]))
+    def test_scaling_space_scales_the_optimum(self, inst, c):
+        scaled = MSPInstance(RequestSequence.from_packed(inst.requests.packed * c),
+                             start=inst.start * c, D=inst.D, m=inst.m * c,
+                             cost_model=inst.cost_model)
+        a, b = solve_line(inst), solve_line(scaled)
+        assert b.cost == pytest.approx(c * a.cost, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=15)
     @given(line_instances())
-    def test_lower_bound_consistent_across_grids(self, inst):
-        a = solve_line(inst, grid_size=128)
-        b = solve_line(inst, grid_size=512)
-        # Both are valid lower bounds of the same OPT: each must stay below
-        # the other's feasible cost.
-        assert a.lower_bound <= b.cost + 1e-6 * (1 + b.cost)
-        assert b.lower_bound <= a.cost + 1e-6 * (1 + a.cost)
+    def test_trajectory_is_cap_feasible_and_replays_to_upper(self, inst):
+        res = solve_line(inst)
+        tr = replay_cost(inst, res.positions, validate_cap=inst.m)
+        assert tr.total_cost == res.cost
+        assert res.positions[0, 0] == inst.start[0]
+        assert res.lower_bound <= res.cost <= res.lower_bound + 1e-9 * res.cost
