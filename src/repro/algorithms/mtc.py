@@ -25,6 +25,7 @@ import numpy as np
 
 from ..core.requests import RequestBatch
 from ..median import request_center, weiszfeld
+from ..median.batched import batched_midpoint_center
 from .base import OnlineAlgorithm
 
 __all__ = ["MoveToCenter"]
@@ -42,10 +43,16 @@ class MoveToCenter(OnlineAlgorithm):
         in ``(0, 1]`` forces a fixed damping factor instead (ablation).
     tie_break:
         ``"closest"`` (paper): among several minimizers pick the one
-        closest to the server.  ``"weiszfeld"``: always call
-        :func:`repro.median.weiszfeld`, whose representative of a
-        minimizing segment is the point closest to the batch centroid.
-        ``"midpoint"``: pick the midpoint of the minimizing segment.
+        closest to the server
+        (:func:`repro.median.batched.batched_request_center`).
+        ``"weiszfeld"``: always take the certified median
+        (:func:`repro.median.batched.batched_weiszfeld`), whose
+        representative of a minimizing segment is the point closest to the
+        batch centroid.  ``"midpoint"``: pick the midpoint of the
+        minimizing segment
+        (:func:`repro.median.batched.batched_midpoint_center`).  Each rule
+        is one batched function, which the fused kernel calls on every
+        lane and :meth:`center` on a one-lane stack.
     cap_fraction:
         Fraction of the granted movement cap actually used, in ``(0, 1]``
         (ablation: does MtC need the full augmented speed?).
@@ -91,13 +98,7 @@ class MoveToCenter(OnlineAlgorithm):
             return c
         if self.tie_break == "weiszfeld":
             return weiszfeld(batch.points).point
-        # midpoint tie-break: use the closest-point machinery's set
-        from ..median.tie_breaking import median_set
-
-        mset = median_set(batch.points)
-        if mset is None:
-            return weiszfeld(batch.points).point
-        return 0.5 * (mset.a + mset.b)
+        return batched_midpoint_center(batch.points[None])[0]
 
     def decide(self, t: int, batch: RequestBatch) -> np.ndarray:
         if batch.count == 0:

@@ -397,11 +397,11 @@ def _stateless(fn: Callable) -> Callable[[KernelContext], Callable]:
 
 # -- median-family batch-major kernels -------------------------------------
 #
-# These kernels replay the scalar ``request_center`` rules through the
-# cross-lane batched solver.  They slice one (B, r, d) step at a time out
-# of the batch-major block (or the whole stack): per lane that slice is
-# the same contiguous (r, d) block the scalar solver sees, so every
-# reduction matches bit-for-bit.
+# These kernels call the center rules of repro.median.batched on every
+# lane at once; the scalar algorithms call the same functions on one-lane
+# stacks.  They slice one (B, r, d) step at a time out of the batch-major
+# block (or the whole stack), and a lane's answer does not depend on the
+# stack it rides in, so every lane matches its scalar run bit-for-bit.
 
 
 def _masked_pursuit(out_k: np.ndarray, positions: np.ndarray,
@@ -444,7 +444,7 @@ def _build_greedy_center(ctx: KernelContext) -> Callable:
 
 def _build_mtc(ctx: KernelContext) -> Callable:
     from ..median.batched import (
-        batched_median_set,
+        batched_midpoint_center,
         batched_request_center,
         batched_weiszfeld,
     )
@@ -482,11 +482,7 @@ def _build_mtc(ctx: KernelContext) -> Callable:
             elif tie == "weiszfeld":
                 c = batched_weiszfeld(pts)
             else:  # midpoint
-                mset = batched_median_set(pts)
-                c = 0.5 * (mset.a + mset.b)
-                nidx = np.nonzero(mset.numeric)[0]
-                if nidx.size:
-                    c[nidx] = batched_weiszfeld(pts[nidx])
+                c = batched_midpoint_center(pts)
             # dist = ‖c − position‖, then the damped
             # min{scale·dist, cap_fraction·cap} clamp of the scalar rule.
             _sub(c, positions, out=s.v)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .validation import recorded_step_limit
+
 __all__ = ["Trace"]
 
 
@@ -98,11 +100,12 @@ class Trace:
         """Largest single-step movement — used to check cap compliance."""
         return float(self.distances_moved.max()) if self.length else 0.0
 
-    def validate_against_cap(self, cap: float, tol: float = 1e-7) -> None:
-        """Raise ``ValueError`` if any step moved further than ``cap``."""
+    def validate_against_cap(self, cap: float) -> None:
+        """Raise ``ValueError`` if any step moved further than ``cap``
+        (beyond :func:`repro.core.validation.recorded_step_limit`)."""
         if self.length == 0:
             return
-        limit = cap * (1.0 + tol) + tol
+        limit = recorded_step_limit(cap, self.positions)
         bad = np.nonzero(self.distances_moved > limit)[0]
         if bad.size:
             t = int(bad[0])

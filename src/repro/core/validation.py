@@ -12,7 +12,14 @@ import numpy as np
 
 from .metric import distance
 
-__all__ = ["MovementCapViolation", "check_move", "cap_tolerance"]
+__all__ = ["MovementCapViolation", "check_move", "cap_tolerance", "recorded_step_limit"]
+
+#: Relative overrun of the cap a recorded trajectory may show.
+_RECORDED_RTOL = 1e-7
+#: Rounding of a step length recomputed from stored positions, per unit of
+#: the trajectory's largest coordinate: a move of exactly the cap lands on
+#: a rounded position, a few ulps of that coordinate away.
+_RECORDED_ROUND = 64 * np.finfo(np.float64).eps
 
 
 class MovementCapViolation(RuntimeError):
@@ -32,6 +39,19 @@ class MovementCapViolation(RuntimeError):
 def cap_tolerance(cap: float, rel: float = 1e-9, absolute: float = 1e-12) -> float:
     """Permitted overshoot of the cap due to floating point."""
     return cap * rel + absolute
+
+
+def recorded_step_limit(cap: float, positions: np.ndarray) -> float:
+    """Longest step a recorded trajectory may show under ``cap``.
+
+    The allowance is relative: ``cap·(1 + 1e-7)`` plus the rounding of a
+    recomputed step, scaled by the largest coordinate of ``positions``.  It
+    holds a trajectory that moves exactly its cap, and rejects an overrun
+    of more than 1e-7 of the cap whenever the cap is large against that
+    rounding, however small the cap.
+    """
+    scale = float(np.abs(positions).max()) if positions.size else 0.0
+    return cap * (1.0 + _RECORDED_RTOL) + _RECORDED_ROUND * scale
 
 
 def check_move(

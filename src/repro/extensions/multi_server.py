@@ -35,6 +35,7 @@ import numpy as np
 
 from ..core.metric import get_metric
 from ..core.requests import RequestBatch
+from ..core.validation import recorded_step_limit
 from ..median import request_center
 
 __all__ = [
@@ -70,10 +71,12 @@ class KServerTrace:
     def total_cost(self) -> float:
         return float(self.movement_costs.sum() + self.service_costs.sum())
 
-    def validate_against_cap(self, cap: float, tol: float = 1e-7) -> None:
+    def validate_against_cap(self, cap: float) -> None:
+        """Raise ``ValueError`` if any server moved further than ``cap`` in
+        one step (beyond :func:`repro.core.validation.recorded_step_limit`)."""
         seg = np.diff(self.positions, axis=0)
         steps = np.sqrt(np.einsum("tkd,tkd->tk", seg, seg))
-        if steps.size and steps.max() > cap * (1 + tol) + tol:
+        if steps.size and steps.max() > recorded_step_limit(cap, self.positions):
             raise ValueError(f"multi-server cap violated: {steps.max():.6g} > {cap:.6g}")
 
 

@@ -1,19 +1,24 @@
-"""Cross-lane certified geometric-median solver.
+"""The geometric-median solver and the paper's center rule.
 
 :func:`certified_medians` solves ``B`` independent geometric medians — one
 ``(r, d)`` request batch and one start per lane — in whole-batch NumPy
-passes.  It is the only numeric median solver in the package: the scalar
-:func:`repro.median.weiszfeld` is this function at ``B = 1``, and
-:func:`batched_request_center` (the engine of the fused median-family step
-kernels, :mod:`repro.core.kernels`) answers ``B``
-:func:`repro.median.request_center` queries through it.
+passes.  It is the only numeric median solver in the package.
+:func:`batched_request_center` applies the paper's center rule to ``B``
+lanes: the Weber minimizer, and when it is not unique the minimizer
+closest to the lane's server.  The fused median-family step kernels
+(:mod:`repro.core.kernels`) call it directly; the scalar entry points are
+the same functions at ``B = 1`` (:func:`request_center` here,
+:func:`repro.median.weiszfeld` on :func:`certified_medians`).
 
 Per lane the solve has three stages:
 
-1. **Closed forms.**  Lanes whose minimizing set is a segment or a point
-   (``r <= 2``, collinear or coincident requests, the
-   :func:`batched_median_set` routing) return the minimizer closest to
-   their start.
+1. **Closed forms.**  :func:`batched_median_set` finds the lanes whose
+   minimizing set is a segment or a point: ``r <= 2``, every 1-D lane (the
+   sorted middle pair, so an odd 1-D batch's median is its middle data
+   point), and collinear or coincident lanes in ``d >= 2`` (from the
+   centred SVD).  They return the point of that set closest to their
+   server (:func:`batched_request_center`) or start
+   (:func:`certified_medians`).
 2. **Kuhn's vertex test.**  If the unique median of a non-collinear lane is
    a data point, it is the data point of least Weber cost, and it is
    optimal iff the unit-vector pull of the other points has norm at most
@@ -28,29 +33,23 @@ Per lane the solve has three stages:
    raises :class:`ArithmeticError` instead of returning an unconverged
    point.
 
-Bit-parity
-----------
+Stack independence
+------------------
 
 Every operation is per lane: reductions run over the ``r`` or ``d`` axis
 of one lane, the stacked ``np.linalg.solve`` and SVD factor each matrix as
 they would factor it alone, and lanes leave the active set independently.
-A lane therefore gets the same bits in any stack, which is what makes the
-scalar solver and the fused kernels agree exactly:
+A lane therefore gets the same bits in any stack, ``B = 1`` included —
+which is why a scalar call and a fused kernel lane agree exactly.
 
-* the exact-case routing reproduces the scalar
-  :func:`repro.median.exact.collinearity_frame` from the same centred SVD;
-* scalar ``np.dot`` contractions (the segment projection in
-  ``MedianSet.closest_point_to``) go through BLAS ``ddot``, whose FMA
-  accumulation differs from ``einsum`` — the batched path reproduces them
-  with vector-shaped ``matmul`` (``(B, 1, d) @ (B, d, 1)``), which NumPy
-  routes to the same ``ddot`` per lane;
-* line projections ``(points - origin) @ u`` become stacked GEMV calls
-  (``(B, r, d) @ (B, d, 1)``), again the same BLAS routine per lane.
-
-``tests/test_median_batched.py`` asserts equality with the per-lane
-scalar solver over degenerate grids (r ∈ {1, 2, 3, ...}, duplicated
-points, collinear stacks, warm starts on and off) and checks each answer
-against Kuhn's optimality condition.
+Per-lane dot products go through :func:`_stacked_dot`, a vector-shaped
+``matmul`` that NumPy routes to BLAS ``ddot`` per lane, and line
+projections through stacked GEMV calls.  An ``einsum`` would accumulate
+in another order and move the last bit of some tie-broken centers; the
+``ddot`` form keeps the bits the goldens and the frozen
+``tests/data/median_parity.json`` fixture were captured with.
+``tests/test_median_batched.py`` checks the solver against that fixture,
+against one-lane stacks, and against Kuhn's optimality condition.
 """
 
 from __future__ import annotations
@@ -59,14 +58,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.metric import as_points
+
 __all__ = [
     "BatchedMedianSet",
     "CertifiedMedians",
     "batched_median_set",
+    "batched_midpoint_center",
     "batched_request_center",
     "batched_weiszfeld",
     "certified_medians",
+    "request_center",
 ]
+
+#: Collinearity tolerance of :func:`batched_median_set` in ``d >= 2``: a
+#: lane whose centred batch has leading singular value at most this is
+#: coincident, and one whose second singular value is at most this times
+#: ``max(1, leading)`` is collinear.
+_COLLINEAR = 1e-9
+#: Newton stops once its full step is at most this fraction of the lane's
+#: largest coordinate.
+_STEP_TOL = 1e-10
 
 
 def _stacked_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -74,53 +86,53 @@ def _stacked_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``np.dot`` on two vectors calls BLAS ``ddot``; a vector-shaped
     ``matmul`` dispatches each ``(1, d) @ (d, 1)`` slice to the same
-    routine, so every lane reproduces the scalar contraction bit-for-bit
-    (a plain ``einsum`` would not — see the module docstring).
+    routine (see the module docstring).
     """
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def _segment_closest(a: np.ndarray, b: np.ndarray, servers: np.ndarray) -> np.ndarray:
-    """Batched ``MedianSet(a, b)`` tie-break against per-lane servers.
+    """Per-lane point of the segment ``[a, b]`` closest to ``servers``.
 
-    Mirrors the scalar flow: unique sets (``|a - b| <= 1e-12`` in every
-    coordinate, the ``np.allclose`` test) return a copy of ``a``; proper
-    segments return the clamped orthogonal projection of the server.
+    Lanes with ``|a - b| <= 1e-12`` in every coordinate are unique
+    minimizers and return a copy of ``a``; the others return the clamped
+    orthogonal projection of their server.
     """
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
+    ab = b - a
+    tie = np.any(np.abs(ab) > 1e-12, axis=1)
+    if not tie.any():
+        return np.array(a, copy=True)
+    every = tie.all()
+    aa, pp = (a, servers) if every else (a[tie], servers[tie])
+    if not every:
+        ab = ab[tie]
+    denom = _stacked_dot(ab, ab)
+    num = _stacked_dot(pp - aa, ab)
+    t = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    # Adding +0.0 turns a clamped -0.0 into +0.0 without moving any other
+    # value.
+    t += 0.0
+    proj = aa + t[:, None] * ab
+    degenerate = denom <= 0.0
+    if degenerate.any():
+        proj[degenerate] = aa[degenerate]
+    if every:
+        return proj
     out = np.array(a, copy=True)
-    tie = ~np.all(np.abs(a - b) <= 1e-12, axis=1)
-    if np.any(tie):
-        aa = np.ascontiguousarray(a[tie])
-        bb = np.ascontiguousarray(b[tie])
-        pp = np.ascontiguousarray(servers[tie])
-        ab = bb - aa
-        denom = _stacked_dot(ab, ab)
-        num = _stacked_dot(pp - aa, ab)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = num / denom
-        t = np.minimum(1.0, np.maximum(0.0, t))
-        # The scalar clamp is Python's max(0.0, t), which yields +0.0;
-        # adding +0.0 normalizes a possible -0.0 without moving any
-        # other value.
-        t += 0.0
-        proj = aa + t[:, None] * ab
-        degenerate = denom <= 0.0
-        if np.any(degenerate):
-            proj[degenerate] = aa[degenerate]
-        out[tie] = proj
+    out[tie] = proj
     return out
 
 
 @dataclass(frozen=True)
 class BatchedMedianSet:
-    """Per-lane :class:`repro.median.exact.MedianSet` endpoints.
+    """Per-lane minimizing sets of the Weber objective.
 
-    ``numeric[i]`` marks lanes whose median has no closed form
+    The minimizing set of :math:`\\sum_i d(\\cdot, v_i)` is a (possibly
+    degenerate) segment ``[a[i], b[i]]``; ``a == b`` encodes a unique
+    minimizer.  ``numeric[i]`` marks lanes whose median has no closed form
     (non-collinear ``r >= 3``); their ``a``/``b`` rows are zeros and the
-    caller must run Weiszfeld.  All other lanes carry the exact segment
-    endpoints (``a == b`` encodes a unique minimizer).
+    numeric solver answers them.
     """
 
     a: np.ndarray
@@ -128,34 +140,29 @@ class BatchedMedianSet:
     numeric: np.ndarray
 
 
-def batched_median_set(points: np.ndarray, atol: float = 1e-9) -> BatchedMedianSet:
-    """Vectorized :func:`repro.median.median_set` over a ``(B, r, d)`` stack."""
+def batched_median_set(points: np.ndarray) -> BatchedMedianSet:
+    """Minimizing sets of a ``(B, r, d)`` stack (see the module docstring)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 3:
         raise ValueError(f"expected a (B, r, d) stack, got shape {points.shape}")
     B, r, d = points.shape
     if r == 0:
         raise ValueError("median of an empty batch is undefined")
-    if r == 1:
-        a = np.array(points[:, 0], copy=True)
-        return BatchedMedianSet(a, a.copy(), np.zeros(B, dtype=bool))
-    if r == 2:
-        return BatchedMedianSet(
-            np.array(points[:, 0], copy=True),
-            np.array(points[:, 1], copy=True),
-            np.zeros(B, dtype=bool),
-        )
+    exact = np.zeros(B, dtype=bool)
+    if r <= 2:
+        return BatchedMedianSet(np.array(points[:, 0], copy=True),
+                                np.array(points[:, r - 1], copy=True), exact)
+    if d == 1:
+        order = np.sort(points[:, :, 0], axis=1)
+        return BatchedMedianSet(order[:, (r - 1) // 2, None], order[:, r // 2, None], exact)
     a = np.zeros((B, d))
     b = np.zeros((B, d))
     origin = points.mean(axis=1)
     centred = points - origin[:, None, :]
     svals = np.linalg.svd(centred, compute_uv=False)
     lead = svals[:, 0]
-    coincide = lead <= atol
-    if svals.shape[1] > 1:
-        line = ~coincide & (svals[:, 1] <= atol * np.maximum(1.0, lead))
-    else:  # d == 1: every batch is collinear
-        line = ~coincide
+    coincide = lead <= _COLLINEAR
+    line = ~coincide & (svals[:, 1] <= _COLLINEAR * np.maximum(1.0, lead))
     numeric = ~(coincide | line)
     if np.any(coincide):
         a[coincide] = origin[coincide]
@@ -165,17 +172,11 @@ def batched_median_set(points: np.ndarray, atol: float = 1e-9) -> BatchedMedianS
         c_sel = np.ascontiguousarray(centred[idx])
         _, _, vt = np.linalg.svd(c_sel, full_matrices=False)
         u = np.ascontiguousarray(vt[:, 0])  # (n, d) line directions
-        # (points - origin) @ u per lane: a stacked GEMV, same BLAS call
-        # as the scalar projection.
+        # (points - origin) @ u per lane: a stacked GEMV.
         coords = np.matmul(c_sel, u[:, :, None])[:, :, 0]
         order = np.sort(coords, axis=1)
-        if r % 2 == 1:
-            p = origin[idx] + order[:, r // 2, None] * u
-            a[idx] = p
-            b[idx] = p
-        else:
-            a[idx] = origin[idx] + order[:, r // 2 - 1, None] * u
-            b[idx] = origin[idx] + order[:, r // 2, None] * u
+        a[idx] = origin[idx] + order[:, (r - 1) // 2, None] * u
+        b[idx] = origin[idx] + order[:, r // 2, None] * u
     return BatchedMedianSet(a, b, numeric)
 
 
@@ -254,7 +255,7 @@ def _newton_directions(hess: np.ndarray, pull: np.ndarray) -> np.ndarray:
         return out
 
 
-def _newton(points: np.ndarray, y: np.ndarray, scale: np.ndarray, tol: float,
+def _newton(points: np.ndarray, y: np.ndarray, scale: np.ndarray,
             max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton on lanes whose unique median is no data point.
 
@@ -264,13 +265,13 @@ def _newton(points: np.ndarray, y: np.ndarray, scale: np.ndarray, tol: float,
     Weiszfeld step ``pull / Σ 1/d_i`` instead, damped on a data point by the
     Vardi–Zhang factor ``1 − multiplicity/‖pull‖``.  A lane stops when
     ``‖pull‖ <= _GTOL·r``, or when its full Newton step (its Vardi–Zhang
-    step on a data point) is at most ``tol·scale``; that step is then
-    taken.  A lane still running after ``max_iter`` steps raises
+    step on a data point) is at most ``_STEP_TOL·scale``; that step is
+    then taken.  A lane still running after ``max_iter`` steps raises
     :class:`ArithmeticError`.
     """
     n, r, d = points.shape
     atol = _COINCIDE * scale
-    step_tol = tol * scale
+    step_tol = _STEP_TOL * scale
     slack = _ROUND * r * scale
     eye = np.eye(d)
     y = np.array(y, copy=True)
@@ -320,22 +321,54 @@ def _newton(points: np.ndarray, y: np.ndarray, scale: np.ndarray, tol: float,
     return y, its
 
 
+def _numeric_medians(pts: np.ndarray, starts: np.ndarray,
+                     max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """Stages 2–3 on a contiguous ``(n, r, d)`` stack of numeric lanes.
+
+    Returns the medians and each lane's step count.  A lane whose median is
+    a data point returns it after Kuhn's test; every other lane runs
+    :func:`_newton`, from its start or, when cheaper, from the Vardi–Zhang
+    step off its best data point.
+    """
+    n, r, d = pts.shape
+    y = np.empty((n, d))
+    its = np.zeros(n, dtype=np.int64)
+    scale = np.abs(pts).max(axis=(1, 2))
+    cost = _vertex_costs(pts)
+    best = np.argmin(cost, axis=1)
+    v = pts[np.arange(n), best]
+    _, inv, _, pull, mult = _pull(pts, v, _COINCIDE * scale)
+    pnorm = np.sqrt(_stacked_dot(pull, pull))
+    vertex = pnorm - mult <= _GTOL * r
+    y[vertex] = v[vertex]
+    rest = np.nonzero(~vertex)[0]
+    if rest.size:
+        pr = np.ascontiguousarray(pts[rest])
+        start = starts[rest]
+        diff = pr - start[:, None, :]
+        f_start = np.sqrt(np.einsum("nrd,nrd->nr", diff, diff)).sum(axis=1)
+        off = v[rest] + ((1.0 - mult[rest] / pnorm[rest])
+                         / inv[rest].sum(axis=1))[:, None] * pull[rest]
+        start = np.where((cost[rest, best[rest]] < f_start)[:, None], off, start)
+        y[rest], its[rest] = _newton(pr, start, scale[rest], max_iter)
+    return y, its
+
+
 def certified_medians(
     points: np.ndarray,
     starts: np.ndarray | None = None,
-    tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> CertifiedMedians:
     """The geometric median of each lane of a ``(B, r, d)`` stack.
 
-    Lanes whose minimizing set has a closed form (``r <= 2``, collinear or
-    coincident requests) return the minimizer closest to their start.  The
-    rest are non-collinear with a unique median.  If that median is a data
-    point, it is the one of least Weber cost, and Kuhn's test certifies it:
+    Lanes whose minimizing set has a closed form (``r <= 2``, 1-D,
+    collinear or coincident requests) return the minimizer closest to
+    their start.  The rest are non-collinear with a unique median.  If that
+    median is a data point, it is the one of least Weber cost, and Kuhn's
+    test certifies it:
     ``‖Σ_{x_i ≠ x_j} (x_i − x_j)/‖x_i − x_j‖‖ <= #{i: x_i = x_j}``.  Every
-    other lane runs :func:`_newton`, from its start or, when cheaper, from
-    the Vardi–Zhang step off its best data point.  ``starts`` defaults to
-    the per-lane centroids.
+    other lane runs safeguarded Newton.  ``starts`` defaults to the
+    per-lane centroids.
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 3:
@@ -360,25 +393,8 @@ def certified_medians(
         y[exact] = _segment_closest(mset.a[exact], mset.b[exact], starts[exact])
     idx = np.nonzero(mset.numeric)[0]
     if idx.size:
-        pts = np.ascontiguousarray(points[idx])
-        scale = np.abs(pts).max(axis=(1, 2))
-        cost = _vertex_costs(pts)
-        best = np.argmin(cost, axis=1)
-        v = pts[np.arange(idx.size), best]
-        _, inv, _, pull, mult = _pull(pts, v, _COINCIDE * scale)
-        pnorm = np.sqrt(_stacked_dot(pull, pull))
-        vertex = pnorm - mult <= _GTOL * r
-        y[idx[vertex]] = v[vertex]
-        rest = np.nonzero(~vertex)[0]
-        if rest.size:
-            pr = np.ascontiguousarray(pts[rest])
-            start = starts[idx[rest]]
-            diff = pr - start[:, None, :]
-            f_start = np.sqrt(np.einsum("nrd,nrd->nr", diff, diff)).sum(axis=1)
-            off = v[rest] + ((1.0 - mult[rest] / pnorm[rest])
-                             / inv[rest].sum(axis=1))[:, None] * pull[rest]
-            start = np.where((cost[rest, best[rest]] < f_start)[:, None], off, start)
-            y[idx[rest]], its[idx[rest]] = _newton(pr, start, scale[rest], tol, max_iter)
+        y[idx], its[idx] = _numeric_medians(np.ascontiguousarray(points[idx]),
+                                            starts[idx], max_iter)
     on_vertex = np.any(np.all(points == y[:, None, :], axis=2), axis=1)
     return CertifiedMedians(y, its, on_vertex)
 
@@ -386,7 +402,6 @@ def certified_medians(
 def batched_weiszfeld(
     points: np.ndarray,
     starts: np.ndarray | None = None,
-    tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> np.ndarray:
     """The ``(B, d)`` median points of :func:`certified_medians`.
@@ -394,7 +409,23 @@ def batched_weiszfeld(
     Every lane equals ``weiszfeld(points[i], start=starts[i]).point``
     bit-for-bit: the scalar function is this solver at ``B = 1``.
     """
-    return certified_medians(points, starts, tol, max_iter).points
+    return certified_medians(points, starts, max_iter).points
+
+
+def batched_midpoint_center(points: np.ndarray) -> np.ndarray:
+    """Per-lane midpoint of the minimizing set of a ``(B, r, d)`` stack.
+
+    The ``"midpoint"`` tie-break of
+    :class:`repro.algorithms.mtc.MoveToCenter`: a lane with a unique
+    median returns it, a lane minimized on a segment its midpoint.
+    """
+    mset = batched_median_set(points)
+    c = 0.5 * (mset.a + mset.b)
+    idx = np.nonzero(mset.numeric)[0]
+    if idx.size:
+        pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64)[idx])
+        c[idx] = _numeric_medians(pts, pts.mean(axis=1))[0]
+    return c
 
 
 def batched_request_center(
@@ -403,9 +434,8 @@ def batched_request_center(
     *,
     warm_starts: np.ndarray | None = None,
     warm_mask: np.ndarray | None = None,
-    atol: float = 1e-9,
 ) -> np.ndarray:
-    """Per-lane :func:`repro.median.request_center` over a ``(B, r, d)`` stack.
+    """The paper's center :math:`c` of each lane of a ``(B, r, d)`` stack.
 
     Parameters
     ----------
@@ -413,16 +443,18 @@ def batched_request_center(
         ``(B, r, d)`` request stack, ``r >= 1`` (uniform across lanes —
         exactly the packed layout the fused kernels consume).
     servers:
-        ``(B, d)`` server positions, used only for tie-breaking.
+        ``(B, d)`` server positions, used only for tie-breaking: a lane
+        whose Weber minimizer is not unique returns the minimizer closest
+        to its server.
     warm_starts:
         Optional ``(B, d)`` initial iterates for the numeric lanes (the
         previous step's centers, in MtC's case).  Ignored for lanes whose
-        median has a closed form.
+        median has a closed form; the result is unaffected up to the
+        solver's tolerance (the objective is convex).
     warm_mask:
         Optional ``(B,)`` bool mask selecting which warm starts are
-        valid; lanes outside the mask start from the centroid, like a
-        scalar ``warm_start=None`` call.  ``None`` means every lane is
-        warm when ``warm_starts`` is given.
+        valid; lanes outside the mask start from the centroid.  ``None``
+        means every lane is warm when ``warm_starts`` is given.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 3:
@@ -442,7 +474,7 @@ def batched_request_center(
     if r == 2:
         return _segment_closest(points[:, 0], points[:, 1], servers)
 
-    mset = batched_median_set(points, atol=atol)
+    mset = batched_median_set(points)
     out = np.empty((B, d))
     exact = ~mset.numeric
     if np.any(exact):
@@ -450,7 +482,7 @@ def batched_request_center(
     idx = np.nonzero(mset.numeric)[0]
     if idx.size:
         pts = np.ascontiguousarray(points[idx])
-        starts = pts.mean(axis=1)  # the scalar start=None default, bit-for-bit
+        starts = pts.mean(axis=1)
         if warm_starts is not None:
             ws = np.asarray(warm_starts, dtype=np.float64)
             if ws.shape != (B, d):
@@ -461,5 +493,25 @@ def batched_request_center(
             else:
                 use = np.asarray(warm_mask, dtype=bool)[idx]
                 starts[use] = ws[idx][use]
-        out[idx] = batched_weiszfeld(pts, starts)
+        out[idx] = _numeric_medians(pts, starts)[0]
     return out
+
+
+def request_center(
+    points: np.ndarray,
+    server: np.ndarray,
+    warm_start: np.ndarray | None = None,
+) -> np.ndarray:
+    """The paper's center :math:`c` for one request batch.
+
+    :func:`batched_request_center` on a one-lane stack: the Weber
+    minimizer of the ``(r, d)`` batch ``points`` (``r >= 1``), and when it
+    is not unique the minimizer closest to ``server`` (:math:`P_{Alg}`).
+    ``warm_start`` is an optional initial iterate for the numeric solver;
+    callers that see slowly-moving batches (MtC step after step) pass the
+    previous center.
+    """
+    points = as_points(points)
+    server = np.asarray(server, dtype=np.float64)
+    warm = None if warm_start is None else np.asarray(warm_start, dtype=np.float64)[None]
+    return batched_request_center(points[None], server[None], warm_starts=warm)[0]

@@ -1,71 +1,20 @@
-"""Closed-form geometric medians for the cases that admit them.
+"""Closed-form Weber-objective helpers.
 
-The point :math:`c` minimizing :math:`\\sum_i d(c, v_i)` (the Fermat–Weber
-point / geometric median / 1-median) has exact characterisations in several
-cases the simulator hits constantly:
-
-* one request: :math:`c = v_1`;
-* two requests: every point of the segment :math:`[v_1, v_2]` minimizes;
-* collinear requests (in particular everything in dimension 1): the
-  coordinate median along the line; for an even count the whole middle
-  segment minimizes;
-* three requests: the classical Fermat point (a 120°-construction), also
-  handled numerically by Weiszfeld but available here for cross-checks.
-
-When the minimizer is a *set*, functions return the set's description so
-that :mod:`repro.median.tie_breaking` can pick the paper's representative
-(the minimizer closest to the server).
+:func:`weber_cost` evaluates the objective :math:`\\sum_i d(c, v_i)` whose
+minimizer (the Fermat–Weber point, geometric median or 1-median) the
+paper's center rule targets.  :func:`fermat_point_triangle` is the
+classical closed form for three requests (a 120°-construction); the tests
+use it as a cross-check independent of :mod:`repro.median.batched`, which
+holds the package's minimizing sets and its numeric solver.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.metric import as_points, distances_to
 
-__all__ = [
-    "MedianSet",
-    "median_single",
-    "median_pair",
-    "median_collinear",
-    "collinearity_frame",
-    "fermat_point_triangle",
-    "weber_cost",
-]
-
-
-@dataclass(frozen=True)
-class MedianSet:
-    """The set of minimizers of the Weber objective.
-
-    The minimizing set of :math:`\\sum_i d(\\cdot, v_i)` is always a
-    (possibly degenerate) segment: a single point in the generic case, a
-    full segment for two points or an even number of collinear points.
-
-    Attributes
-    ----------
-    a, b:
-        Endpoints of the segment; ``a == b`` encodes a unique minimizer.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def is_unique(self) -> bool:
-        return bool(np.allclose(self.a, self.b, rtol=0.0, atol=1e-12))
-
-    def closest_point_to(self, p: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``p`` onto the segment ``[a, b]``."""
-        ab = self.b - self.a
-        denom = float(np.dot(ab, ab))
-        if denom <= 0.0:
-            return np.array(self.a, copy=True)
-        t = float(np.dot(p - self.a, ab)) / denom
-        t = min(1.0, max(0.0, t))
-        return self.a + t * ab
+__all__ = ["fermat_point_triangle", "weber_cost"]
 
 
 def weber_cost(c: np.ndarray, points: np.ndarray) -> float:
@@ -74,80 +23,6 @@ def weber_cost(c: np.ndarray, points: np.ndarray) -> float:
     if points.shape[0] == 0:
         return 0.0
     return float(distances_to(np.asarray(c, dtype=np.float64), points).sum())
-
-
-def median_single(points: np.ndarray) -> MedianSet:
-    """Median of a single point: the point itself."""
-    points = as_points(points)
-    if points.shape[0] != 1:
-        raise ValueError(f"median_single expects exactly one point, got {points.shape[0]}")
-    return MedianSet(points[0].copy(), points[0].copy())
-
-
-def median_pair(points: np.ndarray) -> MedianSet:
-    """Median set of two points: the whole connecting segment."""
-    points = as_points(points)
-    if points.shape[0] != 2:
-        raise ValueError(f"median_pair expects exactly two points, got {points.shape[0]}")
-    return MedianSet(points[0].copy(), points[1].copy())
-
-
-def collinearity_frame(points: np.ndarray, atol: float = 1e-9) -> tuple[np.ndarray, np.ndarray] | None:
-    """Detect collinearity; return ``(origin, unit_direction)`` or ``None``.
-
-    Uses the singular values of the centred batch: the points are collinear
-    iff all but the leading singular value vanish (relative to the spread).
-    """
-    points = as_points(points)
-    r = points.shape[0]
-    if r <= 1:
-        return points[0].copy() if r else None, np.zeros(points.shape[1]) if r else None
-    origin = points.mean(axis=0)
-    centred = points - origin
-    # SVD of an (r, d) matrix; singular values sorted descending.
-    svals = np.linalg.svd(centred, compute_uv=False)
-    scale = float(svals[0]) if svals.size else 0.0
-    if scale <= atol:  # all points (numerically) coincide
-        return origin, np.zeros(points.shape[1])
-    if svals.size > 1 and float(svals[1]) > atol * max(1.0, scale):
-        return None
-    # Leading right-singular vector = line direction.
-    _, _, vt = np.linalg.svd(centred, full_matrices=False)
-    return origin, vt[0]
-
-
-def median_collinear(points: np.ndarray, atol: float = 1e-9) -> MedianSet:
-    """Median set of collinear points (includes every 1-D batch).
-
-    Projects onto the line, takes coordinate medians: for odd ``r`` the
-    middle point, for even ``r`` the segment between the two middle order
-    statistics.
-
-    Raises
-    ------
-    ValueError
-        If the points are not collinear within tolerance.
-    """
-    points = as_points(points)
-    r = points.shape[0]
-    if r == 0:
-        raise ValueError("median of an empty batch is undefined")
-    if r == 1:
-        return median_single(points)
-    frame = collinearity_frame(points, atol=atol)
-    if frame is None:
-        raise ValueError("points are not collinear")
-    origin, u = frame
-    if not np.any(u):  # all coincide
-        return MedianSet(origin.copy(), origin.copy())
-    coords = (points - origin) @ u
-    order = np.sort(coords)
-    if r % 2 == 1:
-        c = order[r // 2]
-        p = origin + c * u
-        return MedianSet(p, p.copy())
-    lo, hi = order[r // 2 - 1], order[r // 2]
-    return MedianSet(origin + lo * u, origin + hi * u)
 
 
 def fermat_point_triangle(points: np.ndarray, atol: float = 1e-12) -> np.ndarray:

@@ -39,15 +39,12 @@ class WeiszfeldResult:
     iterations:
         Number of Newton or Weiszfeld steps taken (0 when the median has a
         closed form or is a data point certified by Kuhn's test).
-    converged:
-        Always True: a solve that exhausts its budget raises instead.
     on_vertex:
         True when the returned point is one of the input points.
     """
 
     point: np.ndarray
     iterations: int
-    converged: bool
     on_vertex: bool
 
 
@@ -77,7 +74,6 @@ def weber_gradient_norm(y: np.ndarray, points: np.ndarray, atol: float = 1e-12) 
 def weiszfeld(
     points: np.ndarray,
     start: np.ndarray | None = None,
-    tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> WeiszfeldResult:
     """Compute the geometric median of ``points``.
@@ -93,13 +89,11 @@ def weiszfeld(
         Initial iterate; defaults to the centroid.  When the minimizer is
         a segment (``r == 2``, collinear or coincident points) the answer
         is its point closest to ``start``.
-    tol:
-        Full-Newton-step tolerance, relative to the largest coordinate.
     max_iter:
         Step budget; a solve that exhausts it raises
         :class:`ArithmeticError` rather than return an unconverged point.
     """
     points = as_points(points)
     starts = None if start is None else np.asarray(start, dtype=np.float64)[None, :]
-    res = certified_medians(points[None], starts, tol=tol, max_iter=max_iter)
-    return WeiszfeldResult(res.points[0], int(res.iterations[0]), True, bool(res.on_vertex[0]))
+    res = certified_medians(points[None], starts, max_iter=max_iter)
+    return WeiszfeldResult(res.points[0], int(res.iterations[0]), bool(res.on_vertex[0]))

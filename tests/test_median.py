@@ -1,4 +1,5 @@
-"""Tests for the geometric-median subpackage (exact, Weiszfeld, tie-break)."""
+"""Tests for the geometric-median subpackage: minimizing sets, the certified
+median, and the paper's tie-broken center."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.median import (
-    MedianSet,
-    collinearity_frame,
+    batched_median_set,
     fermat_point_triangle,
-    median_collinear,
-    median_pair,
-    median_single,
-    median_set,
     request_center,
     weber_cost,
     weber_gradient_norm,
@@ -27,64 +23,56 @@ def batch(n, d):
     return arrays(np.float64, (n, d), elements=coords)
 
 
-class TestMedianSet:
-    def test_unique(self):
-        ms = MedianSet(np.zeros(2), np.zeros(2))
-        assert ms.is_unique
-
-    def test_segment_projection_interior(self):
-        ms = MedianSet(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
-        np.testing.assert_allclose(ms.closest_point_to(np.array([1.0, 5.0])), [1.0, 0.0])
-
-    def test_segment_projection_clamps(self):
-        ms = MedianSet(np.array([0.0]), np.array([2.0]))
-        np.testing.assert_allclose(ms.closest_point_to(np.array([-3.0])), [0.0])
-        np.testing.assert_allclose(ms.closest_point_to(np.array([9.0])), [2.0])
+def median_set(points):
+    """``batched_median_set`` of one batch: ``(a, b, numeric)``."""
+    mset = batched_median_set(np.asarray(points, dtype=np.float64)[None])
+    return mset.a[0], mset.b[0], bool(mset.numeric[0])
 
 
-class TestExactCases:
+class TestMedianSets:
+    """The minimizing segment ``[a, b]`` of one batch, checked against the
+    closed forms (``a == b`` for a unique minimizer)."""
+
     def test_single(self):
-        ms = median_single(np.array([[3.0, 4.0]]))
-        assert ms.is_unique
-        np.testing.assert_allclose(ms.a, [3.0, 4.0])
+        a, b, numeric = median_set(np.array([[3.0, 4.0]]))
+        assert not numeric
+        np.testing.assert_array_equal(a, [3.0, 4.0])
+        np.testing.assert_array_equal(b, [3.0, 4.0])
 
     def test_pair_is_segment(self):
-        ms = median_pair(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        assert not ms.is_unique
+        a, b, numeric = median_set(np.array([[0.0, 0.0], [2.0, 2.0]]))
+        assert not numeric
+        np.testing.assert_array_equal([a, b], [[0.0, 0.0], [2.0, 2.0]])
 
-    def test_collinear_odd(self):
-        pts = np.array([[0.0], [1.0], [5.0]])
-        ms = median_collinear(pts)
-        assert ms.is_unique
-        np.testing.assert_allclose(ms.a, [1.0])
+    def test_1d_odd_is_middle_data_point(self):
+        a, b, numeric = median_set(np.array([[5.0], [0.1], [1.0 / 3.0]]))
+        assert not numeric
+        assert a[0] == b[0] == 1.0 / 3.0
 
-    def test_collinear_even_segment(self):
-        pts = np.array([[0.0], [1.0], [2.0], [10.0]])
-        ms = median_collinear(pts)
-        np.testing.assert_allclose(sorted([ms.a[0], ms.b[0]]), [1.0, 2.0])
+    def test_1d_even_is_middle_pair(self):
+        a, b, _ = median_set(np.array([[10.0], [1.0], [0.0], [2.0]]))
+        np.testing.assert_array_equal([a[0], b[0]], [1.0, 2.0])
 
     def test_collinear_embedded_in_2d(self):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
-        ms = median_collinear(pts)
-        np.testing.assert_allclose(ms.a, [1.0, 1.0])
+        a, b, numeric = median_set(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]))
+        assert not numeric
+        np.testing.assert_allclose(a, [1.0, 1.0], atol=1e-15)
+        np.testing.assert_array_equal(a, b)
 
-    def test_collinear_rejects_triangle(self):
-        with pytest.raises(ValueError, match="collinear"):
-            median_collinear(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    def test_collinear_even_embedded_in_3d_is_segment(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [2.0, 4.0, 4.0], [5.0, 10.0, 10.0]])
+        a, b, numeric = median_set(pts)
+        assert not numeric
+        np.testing.assert_allclose(sorted([a.tolist(), b.tolist()]),
+                                   [[1.0, 2.0, 2.0], [2.0, 4.0, 4.0]], atol=1e-14)
+
+    def test_generic_triangle_is_numeric(self):
+        assert median_set(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))[2]
 
     def test_coincident_points(self):
-        pts = np.ones((4, 2))
-        ms = median_collinear(pts)
-        np.testing.assert_allclose(ms.a, [1.0, 1.0])
-
-    def test_collinearity_frame_detects(self):
-        pts = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 5.0]])
-        frame = collinearity_frame(pts)
-        assert frame is not None
-
-    def test_collinearity_frame_rejects(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert collinearity_frame(pts) is None
+        a, b, numeric = median_set(np.ones((4, 2)))
+        assert not numeric
+        np.testing.assert_array_equal([a, b], np.ones((2, 2)))
 
 
 class TestFermatPoint:
@@ -127,7 +115,7 @@ class TestWeiszfeld:
     def test_single_point(self):
         res = weiszfeld(np.array([[2.0, 3.0]]))
         np.testing.assert_allclose(res.point, [2.0, 3.0])
-        assert res.on_vertex and res.converged
+        assert res.on_vertex
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -180,12 +168,12 @@ class TestWeiszfeld:
         line = np.array([[0.0], [1.0], [5.0], [9.0]])
         res = weiszfeld(line)
         np.testing.assert_array_equal(res.point, [3.75])
-        assert (res.iterations, res.converged, res.on_vertex) == (0, True, False)
+        assert (res.iterations, res.on_vertex) == (0, False)
         assert weiszfeld(line, start=np.array([0.5])).on_vertex
 
     def test_newton_lanes_report_their_steps(self, rng):
         res = weiszfeld(rng.normal(size=(6, 2)))
-        assert res.converged and not res.on_vertex and 0 < res.iterations < 20
+        assert not res.on_vertex and 0 < res.iterations < 20
         with pytest.raises(ArithmeticError):
             weiszfeld(rng.normal(size=(6, 2)), max_iter=0)
 
@@ -223,14 +211,25 @@ class TestRequestCenter:
             probe = c + rng.normal(scale=0.05, size=2)
             assert weber_cost(c, pts) <= weber_cost(probe, pts) + 1e-7
 
-    def test_median_set_none_for_generic_triangle(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert median_set(pts) is None
+    def test_odd_1d_center_is_a_data_point(self, rng):
+        """An odd 1-D batch has a unique median, its middle order statistic:
+        the center is that data point bit for bit, wherever the server is."""
+        for _ in range(200):
+            r = int(rng.choice([3, 5, 7, 9, 15]))
+            pts = rng.uniform(-1.0, 1.0, size=(r, 1)) * 10.0 ** rng.uniform(-4, 4)
+            pts += rng.normal() * 10.0 ** rng.uniform(-4, 6)  # far from the origin
+            c = request_center(pts, server=rng.normal(size=1))
+            assert c[0] == np.sort(pts[:, 0])[r // 2]
 
-    def test_median_set_for_1d(self):
-        pts = np.array([[0.0], [2.0], [4.0]])
-        ms = median_set(pts)
-        assert ms is not None and ms.is_unique
+    def test_even_1d_center_clamps_the_server(self, rng):
+        """An even 1-D batch minimizes on its middle pair; the center is
+        the server clamped to it."""
+        for _ in range(100):
+            pts = rng.normal(size=(6, 1)) * 10.0
+            server = rng.normal(size=1) * 10.0
+            lo, hi = np.sort(pts[:, 0])[2:4]
+            c = request_center(pts, server)
+            np.testing.assert_allclose(c, [min(max(server[0], lo), hi)], rtol=0, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,30 @@
-"""Cross-lane batched median solver: bit-parity and certificates.
+"""Cross-lane batched median solver: frozen parity, stack independence and
+certificates.
 
-:mod:`repro.median.batched` promises that every lane of
-``batched_request_center(points, servers)`` equals the scalar
-``request_center(points[i], servers[i])`` **bit for bit** — including the
-exact-case routing (single / pair / coincident / collinear), the numeric
-lanes, warm starts, and iterates that start on a data point.  These tests
-sweep degenerate inputs property-style (deterministic seeds, many trials)
-and assert exact float64 equality throughout.
+:mod:`repro.median.batched` is the package's one implementation of the
+paper's center rule; the scalar ``request_center`` and ``weiszfeld`` are
+its functions on one-lane stacks.  Three references pin it:
 
-The certificate tests pin the mathematics rather than one solver's
-digits: every returned point is a data point passing Kuhn's test or a
-point where the Weber gradient vanishes to rounding, segment minimizers
-resolve to the point closest to the start, and a budget hit raises.
+* **a frozen fixture** (``tests/data/median_parity.json``): the solver's
+  outputs on degenerate grids (r ∈ {1, 2, 3, 4, 5, 8}, d ∈ {1, 2, 3},
+  duplicated, collinear and coincident points, warm starts on and off),
+  captured before the 1-D closed form replaced the SVD frame.  Lanes in
+  ``d >= 2`` must reproduce it bit for bit, 1-D lanes within one ulp of
+  the lane's largest coordinate;
+* **stack independence**: every lane of a ``B``-lane call equals the same
+  lane solved alone, exactly (sweeps of degenerate inputs, float64
+  equality throughout);
+* **analytic checks**: every center minimizes the Weber objective, a tied
+  center is the minimizer closest to the server, and every numeric point
+  is a data point passing Kuhn's test or a point where the Weber gradient
+  vanishes to rounding; segment minimizers resolve to the point closest to
+  the start, and a budget hit raises.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,19 +34,19 @@ from repro.median import (
     batched_request_center,
     batched_weiszfeld,
     certified_medians,
-    median_set,
     request_center,
     weber_cost,
     weiszfeld,
 )
+from repro.median.batched import batched_midpoint_center
 
 # -- input generators -------------------------------------------------------
 
 
 def _degenerate_stack(rng: np.random.Generator, B: int, r: int, d: int) -> np.ndarray:
-    """A (B, r, d) stack salted with every degenerate shape the scalar
-    solver special-cases: coincident stacks, duplicated points, collinear
-    lanes, and wildly varying scales."""
+    """A (B, r, d) stack salted with every degenerate shape the solver
+    special-cases: coincident stacks, duplicated points, collinear lanes,
+    and wildly varying scales."""
     scale = 10.0 ** float(rng.integers(-6, 7))
     pts = rng.normal(scale=scale, size=(B, r, d))
     for b in range(B):
@@ -57,13 +67,99 @@ def _servers(rng: np.random.Generator, B: int, d: int) -> np.ndarray:
     return rng.normal(scale=10.0 ** float(rng.integers(-3, 4)), size=(B, d))
 
 
-# -- request_center parity --------------------------------------------------
+# -- frozen fixture ----------------------------------------------------------
+
+_FIXTURE = Path(__file__).parent / "data" / "median_parity.json"
+_KEYS = ("center_cold", "center_warm", "set_a", "set_b")
 
 
-class TestRequestCenterParity:
+def _fixture_runs():
+    """Each fixture case with the current solver's outputs beside it."""
+    for case in json.loads(_FIXTURE.read_text())["cases"]:
+        pts = np.array(case["points"])
+        servers = np.array(case["servers"])
+        mset = batched_median_set(pts)
+        got = {
+            "center_cold": batched_request_center(pts, servers),
+            "center_warm": batched_request_center(
+                pts, servers, warm_starts=np.array(case["warm_starts"]),
+                warm_mask=np.array(case["warm_mask"])),
+            "set_a": mset.a,
+            "set_b": mset.b,
+        }
+        np.testing.assert_array_equal(mset.numeric, case["set_numeric"])
+        yield case, pts, got
+
+
+def _inside_parent_coincidence(x: np.ndarray) -> bool:
+    """A 1-D lane of distinct points whose centred norm is at most 1e-9: the
+    captured solver called it coincident and answered with its mean."""
+    return x.size >= 3 and np.ptp(x) > 0.0 and np.linalg.norm(x - x.mean()) <= 1e-9
+
+
+class TestFrozenFixture:
+    def test_multi_d_lanes_are_bit_identical(self):
+        seen = 0
+        for case, _, got in _fixture_runs():
+            if case["d"] == 1:
+                continue
+            for key in _KEYS:
+                np.testing.assert_array_equal(
+                    got[key], case[key],
+                    err_msg=f"{key} (r={case['r']}, d={case['d']}, trial {case['trial']})")
+            seen += 1
+        assert seen == 24
+
+    def test_1d_lanes_within_one_ulp_of_their_scale(self):
+        """The captured 1-D answers went through ``origin + t·u``, which
+        rounds at the scale of the lane's coordinates; the sorted middle
+        pair is exact, so the two agree to one ulp of that scale."""
+        lanes = 0
+        for case, pts, got in _fixture_runs():
+            if case["d"] != 1:
+                continue
+            for i in range(pts.shape[0]):
+                if _inside_parent_coincidence(pts[i, :, 0]):
+                    continue
+                ulp = np.spacing(np.abs(pts[i]).max())
+                for key in _KEYS:
+                    assert abs(got[key][i, 0] - case[key][i][0]) <= ulp, (
+                        f"{key} lane {i} (r={case['r']}, trial {case['trial']})")
+                lanes += 1
+        assert lanes >= 100
+
+    def test_1d_lanes_inside_the_old_coincidence_tolerance(self):
+        """Near-coincident 1-D lanes (spread far below 1e-9) were answered
+        with their mean, which is no Weber minimizer; they now get the exact
+        minimizing set, which lies within the lane's spread of the old
+        answer."""
+        lanes = 0
+        for case, pts, got in _fixture_runs():
+            if case["d"] != 1:
+                continue
+            for i in range(pts.shape[0]):
+                x = pts[i, :, 0]
+                if not _inside_parent_coincidence(x):
+                    continue
+                order = np.sort(x)
+                r = x.size
+                assert got["set_a"][i, 0] == order[(r - 1) // 2]
+                assert got["set_b"][i, 0] == order[r // 2]
+                for key in ("center_cold", "center_warm"):
+                    c = got[key][i, 0]
+                    assert order[(r - 1) // 2] <= c <= order[r // 2]
+                    assert abs(c - case[key][i][0]) <= np.ptp(x)
+                lanes += 1
+        assert lanes >= 8
+
+
+# -- request_center: stack independence -------------------------------------
+
+
+class TestRequestCenterStacks:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_scalar_per_lane(self, r, d):
+    def test_lane_equals_one_lane_call(self, r, d):
         for trial in range(8):
             rng = np.random.default_rng(1000 * r + 100 * d + trial)
             pts = _degenerate_stack(rng, B=10, r=r, d=d)
@@ -75,9 +171,9 @@ class TestRequestCenterParity:
                     got[i], want, err_msg=f"lane {i} (r={r}, d={d}, trial {trial})")
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_warm_starts_match_scalar_warm_starts(self, d):
-        """Warm lanes must replay ``warm_start=...``, cold lanes
-        ``warm_start=None`` — both bit-for-bit."""
+    def test_warm_lanes_equal_one_lane_warm_calls(self, d):
+        """Warm lanes equal ``warm_start=...`` calls, cold lanes
+        ``warm_start=None`` calls — both bit-for-bit."""
         for trial in range(6):
             rng = np.random.default_rng(7000 + 10 * d + trial)
             B, r = 8, 5
@@ -128,7 +224,61 @@ class TestRequestCenterParity:
             batched_request_center(np.zeros((2, 2, 2)), np.zeros((3, 2)))
 
 
-# -- weiszfeld parity -------------------------------------------------------
+# -- the center rule, analytically ------------------------------------------
+
+
+class TestCenterRule:
+    @pytest.mark.parametrize("r", [2, 3, 4, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_center_is_the_weber_minimizer_closest_to_the_server(self, r, d):
+        """Each center costs no more than any data point (a minimizer), and a
+        lane minimized on a segment returns its point closest to the
+        server, checked against 65 points along the segment."""
+        along = np.linspace(0.0, 1.0, 65)[:, None]
+        for trial in range(4):
+            rng = np.random.default_rng(6100 + 100 * r + 10 * d + trial)
+            pts = _degenerate_stack(rng, B=10, r=r, d=d)
+            servers = _servers(rng, B=10, d=d)
+            got = batched_request_center(pts, servers)
+            mset = batched_median_set(pts)
+            for i in range(10):
+                scale = max(float(np.abs(pts[i]).max()), float(np.abs(servers[i]).max()))
+                best = min(weber_cost(p, pts[i]) for p in pts[i])
+                assert weber_cost(got[i], pts[i]) <= best + 1e-12 * r * scale, f"lane {i}"
+                if mset.numeric[i]:
+                    continue
+                seg = mset.a[i] + along * (mset.b[i] - mset.a[i])
+                nearest = np.linalg.norm(seg - servers[i], axis=1).min()
+                assert np.linalg.norm(got[i] - servers[i]) <= nearest + 1e-12 * scale, f"lane {i}"
+
+    def test_odd_1d_centers_are_data_points(self):
+        """An odd 1-D batch has one minimizer, its middle order statistic;
+        every lane returns that data point bit for bit."""
+        rng = np.random.default_rng(31)
+        for r in (3, 5, 9, 15):
+            pts = rng.normal(size=(64, r, 1)) * 10.0 ** rng.uniform(-5, 5, size=(64, 1, 1))
+            pts += rng.normal(size=(64, 1, 1)) * 10.0 ** rng.uniform(-3, 6, size=(64, 1, 1))
+            got = batched_request_center(pts, rng.normal(size=(64, 1)))
+            np.testing.assert_array_equal(got[:, 0], np.sort(pts[:, :, 0], axis=1)[:, r // 2])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_midpoint_lanes_equal_one_lane_calls(self, d):
+        """The midpoint tie-break: segment midpoints for tied lanes, the
+        certified median for numeric ones, lane by lane as when solved
+        alone."""
+        for trial in range(4):
+            rng = np.random.default_rng(8200 + 10 * d + trial)
+            pts = _degenerate_stack(rng, B=10, r=4, d=d)
+            got = batched_midpoint_center(pts)
+            mset = batched_median_set(pts)
+            for i in range(10):
+                np.testing.assert_array_equal(got[i], batched_midpoint_center(pts[i:i + 1])[0])
+                want = (weiszfeld(pts[i]).point if mset.numeric[i]
+                        else 0.5 * (mset.a[i] + mset.b[i]))
+                np.testing.assert_array_equal(got[i], want, err_msg=f"lane {i}")
+
+
+# -- weiszfeld: stack independence -----------------------------------------
 
 
 class TestBatchedWeiszfeldParity:
@@ -171,27 +321,43 @@ class TestBatchedWeiszfeldParity:
         assert pts[0, 0, 0] == 0.0  # no aliasing
 
 
-# -- median_set parity ------------------------------------------------------
+# -- median_set: stack independence and closed forms ------------------------
 
 
-class TestBatchedMedianSetParity:
+class TestBatchedMedianSetStacks:
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 6])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_routing_and_endpoints_match_scalar(self, r, d):
+    def test_lane_equals_one_lane_call(self, r, d):
         for trial in range(6):
             rng = np.random.default_rng(900 * r + 90 * d + trial)
             pts = _degenerate_stack(rng, B=10, r=r, d=d)
             mset = batched_median_set(pts)
             for i in range(10):
-                want = median_set(pts[i])
-                if want is None:
-                    assert mset.numeric[i], f"lane {i} should be numeric"
-                else:
-                    assert not mset.numeric[i], f"lane {i} should be exact"
-                    np.testing.assert_array_equal(mset.a[i], want.a,
-                                                  err_msg=f"lane {i} a")
-                    np.testing.assert_array_equal(mset.b[i], want.b,
-                                                  err_msg=f"lane {i} b")
+                one = batched_median_set(pts[i:i + 1])
+                assert mset.numeric[i] == one.numeric[0], f"lane {i}"
+                np.testing.assert_array_equal(mset.a[i], one.a[0], err_msg=f"lane {i} a")
+                np.testing.assert_array_equal(mset.b[i], one.b[0], err_msg=f"lane {i} b")
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 8])
+    def test_1d_sets_are_the_sorted_middle_pair(self, r):
+        rng = np.random.default_rng(40 + r)
+        pts = _degenerate_stack(rng, B=20, r=r, d=1)
+        mset = batched_median_set(pts)
+        order = np.sort(pts[:, :, 0], axis=1)
+        assert not mset.numeric.any()
+        np.testing.assert_array_equal(mset.a[:, 0], order[:, (r - 1) // 2])
+        np.testing.assert_array_equal(mset.b[:, 0], order[:, r // 2])
+
+    def test_routing_follows_the_rank_of_the_batch(self):
+        """Non-collinear lanes are numeric; exactly collinear and coincident
+        lanes get closed forms."""
+        rng = np.random.default_rng(3)
+        for d in (2, 3):
+            pts = _degenerate_stack(rng, B=20, r=5, d=d)
+            mset = batched_median_set(pts)
+            kind = np.arange(20) % 5
+            assert not mset.numeric[(kind == 1) | (kind == 3)].any()
+            assert mset.numeric[(kind == 0) | (kind == 2)].all()
 
     def test_rejects_empty_and_misshaped(self):
         with pytest.raises(ValueError, match="empty"):
