@@ -53,32 +53,43 @@ class ScalarBatchAdapter(VectorizedAlgorithm):
     validation and cost accounting across lanes.
     """
 
-    def __init__(self, factory: Callable[[], OnlineAlgorithm], name: str | None = None) -> None:
+    def __init__(self, factory: Callable[[], OnlineAlgorithm]) -> None:
         super().__init__()
         self._factory = factory
-        self._algorithms: list[OnlineAlgorithm] = []
+        self._algorithms: list[OnlineAlgorithm | None] = []
         #: Metric injected into every lane algorithm before reset; ``None``
         #: leaves each algorithm's Euclidean default untouched.
         self.metric = None
-        if name is not None:
-            self.name = name
+        # Traces carry the scalar algorithm's own label (e.g. ``lazy[1]``),
+        # which every algorithm fixes at construction.
+        self.name = factory().name
 
     def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
         super().reset_batch(instances, caps)
-        self._algorithms = [self._factory() for _ in self.instances]
-        for alg, inst, cap in zip(self._algorithms, self.instances, self.caps):
-            if self.metric is not None:
-                alg.metric = self.metric
-            alg.reset(inst, float(cap))
-        if self._algorithms:
-            self.name = self._algorithms[0].name
+        # Lane objects are built on first decide, so lanes whose carried
+        # objects import_lane_states adopts never build one to discard.
+        self._algorithms = [None] * self.batch_size
+
+    def _fresh(self, i: int) -> OnlineAlgorithm:
+        alg = self._factory()
+        if self.metric is not None:
+            alg.metric = self.metric
+        alg.reset(self.instances[i], float(self.caps[i]))
+        self._algorithms[i] = alg
+        return alg
 
     def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
+        self, t: int | np.ndarray, positions: np.ndarray, step: BatchStepRequests
     ) -> np.ndarray:
+        """Each lane's scalar decision.  ``t`` is the step index, or a
+        ``(B,)`` array of per-lane indices (serve waves mix lanes that
+        are at different steps)."""
         out = np.empty_like(positions)
+        per_lane = np.ndim(t) > 0
         for i, alg in enumerate(self._algorithms):
-            out[i] = alg.decide(t, step.batch(i))
+            if alg is None:
+                alg = self._fresh(i)
+            out[i] = alg.decide(int(t[i]) if per_lane else t, step.batch(i))
             # The scalar simulator updates ``position`` after validating the
             # move; the engine validates the whole batch afterwards, so sync
             # here with a private copy the algorithm cannot alias.
@@ -88,15 +99,15 @@ class ScalarBatchAdapter(VectorizedAlgorithm):
     def export_lane_states(self) -> list:
         # The scalar algorithm object *is* the lane state: carrying it
         # across batch recompositions preserves every internal attribute.
+        # It decides in place, so a caller that must undo a failed step
+        # rebuilds it (the serve pool replays the lane's history).
         return list(self._algorithms)
 
     def import_lane_states(self, states) -> None:
         if len(states) != self.batch_size:
             raise ValueError(f"expected {self.batch_size} lane states, got {len(states)}")
-        self._algorithms = [
-            fresh if carried is None else carried
-            for fresh, carried in zip(self._algorithms, states)
-        ]
+        # ``None`` is a fresh lane, built on its first decide.
+        self._algorithms = list(states)
 
 
 class KernelAlgorithm(VectorizedAlgorithm):
@@ -132,7 +143,7 @@ class KernelAlgorithm(VectorizedAlgorithm):
 
     def scalar_reference(self) -> ScalarBatchAdapter:
         """The scalar algorithms behind this kernel, one per lane."""
-        return ScalarBatchAdapter(self._factory, name=self.name)
+        return ScalarBatchAdapter(self._factory)
 
     def reset_batch(self, instances: Sequence[MSPInstance], caps: np.ndarray) -> None:
         super().reset_batch(instances, caps)
@@ -145,7 +156,7 @@ class KernelAlgorithm(VectorizedAlgorithm):
         self._state = ctx.state
 
     def decide_batch(
-        self, t: int, positions: np.ndarray, step: BatchStepRequests
+        self, t: int | np.ndarray, positions: np.ndarray, step: BatchStepRequests
     ) -> np.ndarray:
         layout = self.kernel.layout
         if layout == "stack":
@@ -167,6 +178,8 @@ class KernelAlgorithm(VectorizedAlgorithm):
         else:
             block = points[:, None]
         out = np.empty((1, B, d))
+        # Only "stack" kernels (refused above) read ``t``, so a serve
+        # wave's per-lane step indices pass through unread.
         self._advance(out, positions, block, t)
         return out[0]
 
@@ -210,7 +223,7 @@ def make_vectorized(name: str, metric=None) -> VectorizedAlgorithm:
         raise KeyError(
             f"unknown algorithm {name!r}; available: {', '.join(sorted(ALGORITHMS))}"
         ) from None
-    adapter = ScalarBatchAdapter(factory, name=name)
+    adapter = ScalarBatchAdapter(factory)
     if non_euclidean:
         adapter.metric = metric
     return adapter

@@ -27,10 +27,10 @@ Sweeps are declarative too: :meth:`Scenario.grid` expands axis values
 :class:`~repro.api.grid.ScenarioGrid` whose cells keep their standalone
 content addresses (shared offline-bracket cells factor out as
 address-neutral soft dependencies); :func:`run_many` takes ``jobs=N``
-to fan a scenario list over the orchestrator's process pool; and an
-:class:`ExperimentSpec` pairs a grid with a registry-addressed reducer
-(:mod:`repro.api.reducers`) so a whole experiment is one object:
-grid + reducer name + formatting.
+to fan a scenario list over the orchestrator's process pool.  A whole
+experiment is an orchestrator
+:class:`~repro.experiments.orchestrator.SweepSpec` of such cells plus a
+``finalize`` that folds their payloads into a table.
 
 Prefer this module over importing :mod:`repro.core.simulator` /
 :mod:`repro.core.engine` directly: the engines remain public for custom
@@ -71,15 +71,7 @@ from ..workloads.registry import (
     workload_info,
 )
 from .grid import ScenarioGrid, expand_axes, fixed
-from .reducers import (
-    REDUCERS,
-    Reduction,
-    ReducerInfo,
-    available_reducers,
-    reduce_cells,
-    reducer_info,
-    register_reducer,
-)
+from .reducers import reduce_cells
 from .runtime import (
     BRACKET_FN,
     RunResult,
@@ -93,24 +85,18 @@ from .runtime import (
     scenario_units,
 )
 from .scenario import CELL_FN, Scenario, freeze_params, thaw_params
-from .spec import CellSpec, ExperimentSpec, cell_grid, finalize_spec
 
 __all__ = [
     "ADVERSARIES",
     "BRACKET_FN",
     "CELL_FN",
     "METRICS",
-    "REDUCERS",
     "WORKLOADS",
     "AdaptiveGame",
     "AdversaryInfo",
     "AlgorithmInfo",
     "BoundAdversary",
-    "CellSpec",
-    "ExperimentSpec",
     "Metric",
-    "Reduction",
-    "ReducerInfo",
     "RunResult",
     "Scenario",
     "ScenarioGrid",
@@ -120,15 +106,12 @@ __all__ = [
     "available_adversaries",
     "available_algorithms",
     "available_metrics",
-    "available_reducers",
     "available_workloads",
     "build_instances",
     "cell_brackets",
-    "cell_grid",
     "cell_run",
     "compatible_algorithms",
     "expand_axes",
-    "finalize_spec",
     "fixed",
     "freeze_params",
     "get_metric",
@@ -136,10 +119,8 @@ __all__ = [
     "make_algorithm",
     "make_workload",
     "reduce_cells",
-    "reducer_info",
     "register_adversary",
     "register_metric",
-    "register_reducer",
     "register_workload",
     "resolve",
     "run",

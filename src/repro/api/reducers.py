@@ -1,280 +1,28 @@
-"""Reducer registry: named functions that fold grid cells into a table.
+"""Table rows from grid cells: the one generic fold experiments share.
 
-An :class:`~repro.api.spec.ExperimentSpec` pairs a grid of cells with a
-*reducer* — a registered function that receives the computed cell
-payloads plus each cell's axis coordinates and returns the experiment's
-rows, notes and pass/fail verdict (a :class:`Reduction`).  Reducers are
-addressed by name, mirroring the workload/adversary/algorithm
-registries, so an experiment module stays fully declarative: grid +
-reducer name + formatting.
-
-The generic reducers ship here, drawing on :mod:`repro.analysis`:
-
-``table``
-    One row per grid point — axis coordinates followed by named payload
-    fields; optional per-cell pass flag.
-``scenario-table``
-    For :class:`~repro.api.grid.ScenarioGrid` cells: axis coordinates +
-    mean cost + the certified ratio columns of each
-    :class:`~repro.api.runtime.RunResult` payload, with an optional
-    ratio ceiling as the pass criterion.
-``ratio-curve``
-    Group points by one axis, average a payload field per group (the
-    ratio-vs-parameter curve every competitive-analysis plot reduces to).
-``bootstrap-ci``
-    Like ``ratio-curve`` but each group's mean comes with a seeded
-    bootstrap confidence interval
-    (:func:`repro.analysis.stats.bootstrap_ci`); an optional bound on
-    the CI's upper end is the pass criterion.
-``regression-fit``
-    Power-law fit (:func:`repro.analysis.regression.fit_power_law`) of a
-    payload field against one axis, with an optional exponent window as
-    the pass criterion.
-``potential-trace``
-    Per-point summary of potential-argument payloads
-    (:mod:`repro.analysis.potential` shape: ``max_k``/``q95``/
-    ``violations``/``amort``); passes iff no step violated the argument.
-
-Experiment-specific reducers register themselves from their experiment
-module (e.g. ``e9/lemma6``) — the registry treats both kinds alike.
+An experiment's ``finalize`` receives its computed cell payloads keyed
+by unit key.  When its table is one row per grid point — the point's
+axis coordinates followed by fields of that point's payload —
+:func:`reduce_cells` builds the rows; anything bespoke (means per group,
+pass criteria, notes) stays in the experiment's own ``finalize``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Mapping, Sequence, Tuple
 
-import numpy as np
-
-__all__ = [
-    "REDUCERS",
-    "Reduction",
-    "ReducerInfo",
-    "available_reducers",
-    "reduce_cells",
-    "reducer_info",
-    "register_reducer",
-]
-
-#: ``(key, point)`` pairs in grid declaration order — the reducer's view
-#: of which cell sits at which axis coordinates.
-Points = Sequence[Tuple[str, Mapping[str, Any]]]
-
-
-@dataclass
-class Reduction:
-    """What a reducer distils a grid into: table rows, notes, verdict."""
-
-    rows: List[Sequence[Any]]
-    notes: List[str] = field(default_factory=list)
-    passed: bool = True
-
-
-#: Reducer signature: ``fn(cells, points=..., config=..., scale=..., seed=...)``.
-ReducerFn = Callable[..., Reduction]
-
-
-@dataclass(frozen=True)
-class ReducerInfo:
-    """Registry entry: the reducer plus its one-line description."""
-
-    name: str
-    fn: ReducerFn
-    summary: str = ""
-
-
-REDUCERS: Dict[str, ReducerInfo] = {}
-
-
-def register_reducer(name: str, summary: str = "") -> Callable[[ReducerFn], ReducerFn]:
-    """Decorator registering a reducer under a stable name."""
-
-    def deco(fn: ReducerFn) -> ReducerFn:
-        if name in REDUCERS:
-            raise ValueError(f"reducer {name!r} is already registered")
-        REDUCERS[name] = ReducerInfo(name=name, fn=fn, summary=summary)
-        return fn
-
-    return deco
-
-
-def reducer_info(name: str) -> ReducerInfo:
-    try:
-        return REDUCERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown reducer {name!r}; available: {', '.join(sorted(REDUCERS))}"
-        ) from None
-
-
-def available_reducers() -> list[str]:
-    return sorted(REDUCERS)
+__all__ = ["reduce_cells"]
 
 
 def reduce_cells(
-    name: str,
     cells: Mapping[str, Any],
-    *,
-    points: Points,
-    config: Mapping[str, Any] | None = None,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> Reduction:
-    """Apply the named reducer to computed cell payloads."""
-    reduction = reducer_info(name).fn(cells, points=points, config=dict(config or {}),
-                                      scale=scale, seed=seed)
-    if not isinstance(reduction, Reduction):
-        raise TypeError(f"reducer {name!r} must return a Reduction, "
-                        f"got {type(reduction).__name__}")
-    return reduction
+    points: Sequence[Tuple[str, Mapping[str, Any]]],
+    columns: Sequence[str],
+) -> list[list[Any]]:
+    """One row per ``(unit key, axis coordinates)`` pair, in ``points`` order.
 
-
-# -- generic reducers -------------------------------------------------------
-
-
-@register_reducer("table", "one row per grid point: axis coords + named payload fields")
-def _reduce_table(cells: Mapping[str, Any], *, points: Points,
-                  config: Mapping[str, Any], scale: float, seed: int) -> Reduction:
-    """Config: ``columns`` (payload field names appended after the axis
-    coordinates), optional ``ok`` (boolean payload field — the run passes
-    iff it holds in every cell), optional ``notes`` (static strings)."""
-    columns = list(config.get("columns", []))
-    ok_field = config.get("ok")
-    rows: list[list[Any]] = []
-    passed = True
-    for key, point in points:
-        payload = cells[key]
-        rows.append([*point.values(), *(payload[col] for col in columns)])
-        if ok_field is not None and not payload[ok_field]:
-            passed = False
-    return Reduction(rows=rows, notes=list(config.get("notes", [])), passed=passed)
-
-
-@register_reducer("scenario-table",
-                  "axis coords + mean cost + certified ratio columns per scenario cell")
-def _reduce_scenario_table(cells: Mapping[str, Any], *, points: Points,
-                           config: Mapping[str, Any], scale: float, seed: int) -> Reduction:
-    """Config: optional ``max_ratio`` — the run passes iff every cell's
-    certified mean ratio (upper bracket end, or adversary lower bound)
-    stays at or below it."""
-    from .runtime import RunResult
-
-    ceiling = config.get("max_ratio")
-    rows: list[list[Any]] = []
-    passed = True
-    for key, point in points:
-        res = RunResult.from_payload(cells[key])
-        rows.append([*point.values(), *res.table_columns()])
-        certified = res.certified_ratio()
-        if ceiling is not None and certified is not None and certified > ceiling:
-            passed = False
-    notes = list(config.get("notes", []))
-    if ceiling is not None:
-        notes.append(f"criterion: certified mean ratio <= {ceiling:g} at every grid point")
-    return Reduction(rows=rows, notes=notes, passed=passed)
-
-
-def _grouped(points: Points, axis: str) -> list[tuple[Any, list[str]]]:
-    """Cell keys grouped by one axis value, first-appearance order."""
-    groups: dict[Any, list[str]] = {}
-    for key, point in points:
-        groups.setdefault(point[axis], []).append(key)
-    return list(groups.items())
-
-
-@register_reducer("ratio-curve", "mean of a payload field per value of one axis")
-def _reduce_ratio_curve(cells: Mapping[str, Any], *, points: Points,
-                        config: Mapping[str, Any], scale: float, seed: int) -> Reduction:
-    """Config: ``x`` (grouping axis), ``value`` (payload field, default
-    ``"ratio"``), optional ``bound`` (the curve must stay below it)."""
-    axis = config["x"]
-    value = config.get("value", "ratio")
-    bound = config.get("bound")
-    rows: list[list[Any]] = []
-    passed = True
-    for x, keys in _grouped(points, axis):
-        mean = float(np.mean([cells[k][value] for k in keys]))
-        rows.append([x, mean])
-        if bound is not None and mean > bound:
-            passed = False
-    notes = list(config.get("notes", []))
-    if bound is not None:
-        notes.append(f"criterion: mean {value} <= {bound:g} at every {axis}")
-    return Reduction(rows=rows, notes=notes, passed=passed)
-
-
-@register_reducer("bootstrap-ci",
-                  "mean + bootstrap confidence interval of a payload field per axis value")
-def _reduce_bootstrap_ci(cells: Mapping[str, Any], *, points: Points,
-                         config: Mapping[str, Any], scale: float, seed: int) -> Reduction:
-    """Config: ``x`` (grouping axis), ``value`` (payload field, default
-    ``"ratio"``), ``confidence`` (default 0.95), ``n_boot`` (default
-    2000), optional ``bound`` (the CI's *upper* end must stay at or
-    below it at every axis value).  Resampling is seeded from the
-    experiment seed, so the interval is deterministic per run.
+    Each row is the coordinates' values followed by the payload fields
+    named in ``columns``.
     """
-    from ..analysis.stats import bootstrap_ci
-
-    axis = config["x"]
-    value = config.get("value", "ratio")
-    confidence = float(config.get("confidence", 0.95))
-    n_boot = int(config.get("n_boot", 2000))
-    bound = config.get("bound")
-    rows: list[list[Any]] = []
-    passed = True
-    for x, keys in _grouped(points, axis):
-        data = np.asarray([float(cells[k][value]) for k in keys], dtype=np.float64)
-        lo, hi = bootstrap_ci(data, confidence=confidence, n_boot=n_boot,
-                              rng=np.random.default_rng(seed))
-        rows.append([x, float(data.mean()), lo, hi])
-        if bound is not None and hi > bound:
-            passed = False
-    notes = [f"{confidence:.0%} bootstrap CI, {n_boot} resamples, seeded"]
-    notes.extend(config.get("notes", []))
-    if bound is not None:
-        notes.append(f"criterion: CI upper end of {value} <= {bound:g} at every {axis}")
-    return Reduction(rows=rows, notes=notes, passed=passed)
-
-
-@register_reducer("regression-fit", "power-law fit of a payload field against one axis")
-def _reduce_regression_fit(cells: Mapping[str, Any], *, points: Points,
-                           config: Mapping[str, Any], scale: float, seed: int) -> Reduction:
-    """Config: ``x`` (axis), ``value`` (payload field, default
-    ``"ratio"``), optional ``exponent_range`` ``[lo, hi]`` pass window."""
-    from ..analysis.regression import fit_power_law
-
-    axis = config["x"]
-    value = config.get("value", "ratio")
-    rows: list[list[Any]] = []
-    xs: list[float] = []
-    ys: list[float] = []
-    for x, keys in _grouped(points, axis):
-        mean = float(np.mean([cells[k][value] for k in keys]))
-        rows.append([x, mean])
-        xs.append(float(x))
-        ys.append(mean)
-    fit = fit_power_law(np.array(xs), np.array(ys))
-    notes = [f"fit: {value} ~ {axis}^{fit.exponent:.3f} (R^2 = {fit.r_squared:.3f})"]
-    passed = True
-    window = config.get("exponent_range")
-    if window is not None:
-        lo, hi = window
-        passed = lo <= fit.exponent <= hi
-        notes.append(f"criterion: exponent in [{lo:g}, {hi:g}]")
-    return Reduction(rows=rows, notes=notes, passed=passed)
-
-
-@register_reducer("potential-trace", "per-point potential-argument summary; passes iff no violations")
-def _reduce_potential_trace(cells: Mapping[str, Any], *, points: Points,
-                            config: Mapping[str, Any], scale: float, seed: int) -> Reduction:
-    """Payload shape per cell: ``max_k``, ``q95``, ``violations``,
-    ``amort`` (see :func:`repro.analysis.potential.verify_potential_argument`)."""
-    rows: list[list[Any]] = []
-    passed = True
-    for key, point in points:
-        payload = cells[key]
-        rows.append([*point.values(), payload["max_k"], payload["q95"],
-                     payload["violations"], payload["amort"]])
-        if payload["violations"]:
-            passed = False
-    return Reduction(rows=rows, notes=list(config.get("notes", [])), passed=passed)
+    return [[*point.values(), *(cells[key][col] for col in columns)]
+            for key, point in points]

@@ -171,25 +171,11 @@ class RunResult:
             return 0
         return sum(not m.opt_converged for m in self.measurements)
 
-    def certified_ratio(self) -> float | None:
-        """The one certified mean ratio of this run, if any.
-
-        Adversary runs certify a lower bound (``mean_ratio``); bracket
-        runs certify an interval, whose conservative end is the upper
-        bracket mean; uncertified runs return ``None``.
-        """
-        if self.ratios is not None:
-            return self.mean_ratio
-        if self.measurements is not None:
-            return float(self.ratio_upper.mean())
-        return None
-
     def table_columns(self) -> list:
         """``[mean cost, ratio >=, ratio <=]`` in the shared table layout.
 
-        One definition of the certified-ratio column convention, used by
-        both the CLI ``run --grid`` table and the ``scenario-table``
-        reducer: adversary runs fill only the lower bound, bracket runs
+        The certified-ratio column convention of the CLI ``run --grid``
+        table: adversary runs fill only the lower bound, bracket runs
         fill the interval, uncertified runs leave both blank.
         """
         if self.ratios is not None:

@@ -489,7 +489,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     from .adversaries import available_adversaries
     from .algorithms import algorithm_info, available_algorithms
-    from .api import available_metrics, available_reducers, reducer_info
+    from .api import available_metrics
     from .experiments import EXPERIMENTS
     from .workloads import available_workloads, workload_info
 
@@ -513,10 +513,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("experiments:")
     for eid in EXPERIMENTS:
         print(f"  {eid}")
-    print("reducers:")
-    for name in available_reducers():
-        summary = reducer_info(name).summary
-        print(f"  {name}" + (f" — {summary}" if summary else ""))
     return 0
 
 

@@ -429,7 +429,7 @@ def _batch_service_costs(
 
 def advance_lanes(
     algo: VectorizedAlgorithm,
-    t: int,
+    t: int | np.ndarray,
     positions: np.ndarray,
     step: BatchStepRequests,
     *,
@@ -447,6 +447,10 @@ def advance_lanes(
     and account costs — factored out so callers that *carry* state between
     steps (the streaming serve layer's :class:`~repro.serve.SessionPool`)
     perform the exact same float64 arithmetic as a full batched run.
+
+    ``t`` is handed to ``decide_batch`` as is: the step index, or a
+    ``(B,)`` array of per-lane indices for waves whose lanes are at
+    different steps (the scalar adapter accepts both).
 
     ``counts_service`` is a ``(B,)`` bool mask of lanes whose cost model
     charges a service term (``None`` means all — the pre-``MOVEMENT_ONLY``
@@ -473,7 +477,8 @@ def advance_lanes(
     if bad.size:
         lane = int(bad[0])
         raise MovementCapViolation(
-            t, float(moved[lane]), float(caps[lane]), f"{algo.name}[lane {lane}]"
+            int(t[lane]) if np.ndim(t) else t, float(moved[lane]), float(caps[lane]),
+            f"{algo.name}[lane {lane}]",
         )
     serving = np.where(serve_after_move[:, None], proposed, positions)
     service = _batch_service_costs(serving, step, metric=metric)

@@ -2,18 +2,19 @@
 
 Every experiment is addressed by its id in one dict literal (``SPECS``
 in ``experiments/__init__.py``; ``EXPERIMENTS`` is derived from it) and
-by the ``experiment_id=`` its module passes to
-:class:`~repro.api.spec.ExperimentSpec`.  A duplicate literal key in a
-dict is legal Python that silently drops the earlier entry, and two
-modules claiming the same ``experiment_id`` would collide in reports
-and content-addressed work-unit keys — neither failure mode surfaces in
+by the id its module passes to
+:class:`~repro.experiments.orchestrator.SweepSpec` — the first
+positional argument or ``experiment_id=``.  A duplicate literal key in
+a dict is legal Python that silently drops the earlier entry, and two
+modules claiming the same experiment id would collide in reports and
+content-addressed work-unit keys — neither failure mode surfaces in
 tests until the shadowed experiment is missed.
 
 This project-wide rule checks, purely from the ASTs:
 
 * ``SPECS`` contains no duplicate literal keys;
-* no two experiment modules construct an ``ExperimentSpec`` with the
-  same literal ``experiment_id``.
+* no two experiment modules construct a ``SweepSpec`` with the same
+  literal experiment id.
 
 Like REG001, the rule reads its registry module by fixed repo-relative
 path and silently skips when it is absent (linting fixtures or a
@@ -46,7 +47,11 @@ def _literal_key_occurrences(dict_node: ast.Dict) -> List[Tuple[str, int]]:
 
 
 def _spec_ids(module: ParsedModule) -> List[Tuple[str, int]]:
-    """Literal ``experiment_id=`` keywords of ``ExperimentSpec(...)`` calls."""
+    """Literal experiment ids of ``SweepSpec(...)`` calls.
+
+    The id is the first positional argument or the ``experiment_id=``
+    keyword; non-literal ids are not checked.
+    """
     out: List[Tuple[str, int]] = []
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
@@ -55,21 +60,18 @@ def _spec_ids(module: ParsedModule) -> List[Tuple[str, int]]:
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None
         )
-        if name != "ExperimentSpec":
+        if name != "SweepSpec":
             continue
-        for keyword in node.keywords:
-            if (
-                keyword.arg == "experiment_id"
-                and isinstance(keyword.value, ast.Constant)
-                and isinstance(keyword.value.value, str)
-            ):
-                out.append((keyword.value.value, keyword.value.lineno))
+        ids = node.args[:1] + [kw.value for kw in node.keywords
+                               if kw.arg == "experiment_id"]
+        out.extend((value.value, value.lineno) for value in ids
+                   if isinstance(value, ast.Constant) and isinstance(value.value, str))
     return out
 
 
 @rule(
     "SPEC001",
-    "experiment ids are unique across SPECS and ExperimentSpec declarations",
+    "experiment ids are unique across SPECS and SweepSpec declarations",
     project=True,
 )
 def check_spec001(index: ModuleIndex) -> Iterator[Finding]:
@@ -90,7 +92,7 @@ def check_spec001(index: ModuleIndex) -> Iterator[Finding]:
         else:
             seen[key] = line
 
-    # experiment_id literals across the experiment modules: the first
+    # Experiment id literals across the experiment modules: the first
     # module to claim an id owns it; later claimants are findings.
     claimed: Dict[str, Tuple[str, int]] = {}
     for module in sorted(index, key=lambda m: m.relpath):
@@ -105,7 +107,7 @@ def check_spec001(index: ModuleIndex) -> Iterator[Finding]:
             if owner is not None and owner[0] != module.relpath:
                 yield Finding(
                     path=module.relpath, line=line, col=0, rule="SPEC001",
-                    message=f"experiment_id {experiment_id!r} is already "
+                    message=f"experiment id {experiment_id!r} is already "
                             f"declared by {owner[0]} (line {owner[1]}) — "
                             "ids must be unique across experiment modules",
                 )

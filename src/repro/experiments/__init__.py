@@ -35,12 +35,11 @@ from .orchestrator import ExecutionReport, SweepSpec, execute, execute_spec
 from .runner import ExperimentResult
 
 #: Every experiment declared as an orchestrator sweep (id → spec builder).
-#: E1–E8, E12, E13 and E17 measure their certified ratios in
+#: Each module's ``build_spec`` lists its work units — generic
 #: :class:`repro.api.Scenario` cells from
-#: :func:`repro.api.runtime.scenario_units` (shared brackets factored out),
-#: next to any leftover function cells and a module ``finalize``;
-#: E9/E10/E11/E14/E15/E16 are declarative :class:`repro.api.ExperimentSpec`
-#: grids of function cells (``build_spec`` lowers them).
+#: :func:`repro.api.runtime.scenario_units` (shared brackets factored out)
+#: and/or module-level function cells — and names the module's
+#: ``finalize``, which folds the payloads into the table.
 SPECS: Dict[str, Callable[[float, int], SweepSpec]] = {
     "E1": e1_thm1.build_spec,
     "E2": e2_thm2.build_spec,

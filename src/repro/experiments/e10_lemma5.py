@@ -5,24 +5,25 @@ certified ratios α' (collapsed) and α (original) and check the lemma's
 transfer inequality α ≤ 4α' + 1.  Run on 1-D workloads so both ratios are
 certified against the exact DP.
 
-Declared as an :class:`~repro.api.ExperimentSpec`: one function cell per
-(workload, seed index) grid point, folded by the generic ``table``
-reducer — each cell reports both certified ratios, the 4α+1 bound and
-whether the transfer inequality held.
+Declared as an orchestrator sweep: one function cell per (workload, seed
+index) point.  Each cell reports both certified ratios, the 4α+1 bound
+and whether the transfer inequality held; ``finalize`` tabulates them.
 """
 
 from __future__ import annotations
 
+from typing import Any, Mapping
 
 import numpy as np
 
 from ..algorithms import MoveToCenter
 from ..analysis import collapse_to_centers, measure_ratio
-from ..api import ExperimentSpec, cell_grid
+from ..api.reducers import reduce_cells
 from ..workloads import ClusteredWorkload, DriftWorkload, RandomWalkWorkload
-from .runner import scaled, sweep_seeds
+from .orchestrator import SweepSpec, WorkUnit
+from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_collapse", "spec"]
+__all__ = ["build_spec", "cell_collapse", "finalize"]
 
 _MODULE = "repro.experiments.e10_lemma5"
 WORKLOAD_NAMES = ["random-walk", "drift", "clustered"]
@@ -60,31 +61,35 @@ def cell_collapse(workload: str, s: int, cell_seed: int, T: int, delta: float) -
     }
 
 
-def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
-    T = scaled(250, scale, minimum=80)
+def _points(scale: float) -> list[tuple[str, dict[str, Any]]]:
+    """``(unit key, axis coordinates)`` in table row order."""
     n_seeds = scaled(3, scale, minimum=2)
-    seeds = sweep_seeds(seed, n_seeds)
-    return ExperimentSpec(
+    return [(f"cell/workload={name}/s={s}", {"workload": name, "s": s})
+            for name in WORKLOAD_NAMES for s in range(n_seeds)]
+
+
+def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
+    T = scaled(250, scale, minimum=80)
+    seeds = sweep_seeds(seed, scaled(3, scale, minimum=2))
+    units = tuple(
+        WorkUnit(key, f"{_MODULE}:cell_collapse",
+                 {**point, "T": T, "delta": DELTA, "cell_seed": seeds[point["s"]]})
+        for key, point in _points(scale)
+    )
+    return SweepSpec("E10", units, finalize=f"{_MODULE}:finalize", scale=scale, seed=seed)
+
+
+def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
+    points = _points(scale)
+    return ExperimentResult(
         experiment_id="E10",
         title="Lemma 5: collapsing each batch to its center loses at most 4*alpha+1",
         headers=["workload", "seed", "ratio(collapsed)", "ratio(original)", "4a+1 bound"],
-        reducer="table",
-        cells=cell_grid(f"{_MODULE}:cell_collapse",
-                        axes={"workload": WORKLOAD_NAMES, "s": range(n_seeds)},
-                        common={"T": T, "delta": DELTA},
-                        derive={"cell_seed": lambda p: seeds[p["s"]]}),
-        config={
-            "columns": ["ratio_collapsed", "ratio_original", "bound"],
-            "ok": "ok",
-            "notes": [
-                "criterion: ratio(original) <= 4 * ratio(collapsed) + 1 on every "
-                "paired instance (Lemma 5)",
-                "ratios are certified upper bounds against the exact 1-D DP optimum",
-            ],
-        },
-        scale=scale, seed=seed,
+        rows=reduce_cells(results, points, ["ratio_collapsed", "ratio_original", "bound"]),
+        notes=[
+            "criterion: ratio(original) <= 4 * ratio(collapsed) + 1 on every "
+            "paired instance (Lemma 5)",
+            "ratios are certified upper bounds against the exact 1-D DP optimum",
+        ],
+        passed=all(results[key]["ok"] for key, _ in points),
     )
-
-
-def build_spec(scale: float = 1.0, seed: int = 0):
-    return spec(scale, seed).to_sweep()

@@ -13,9 +13,9 @@ Reproduction criteria:
   δ sweep is compatible with the O(1/δ) (line) envelope;
 * both ``r > D`` and ``r <= D`` branches of the potential are exercised.
 
-Declared as an :class:`~repro.api.ExperimentSpec`: one function cell per
-(regime, δ, seed) grid point, folded by the ``e11/potential`` reducer
-(per-(regime, δ) means plus the envelope check).
+Declared as an orchestrator sweep: one function cell per (regime, δ,
+seed) point; ``finalize`` takes per-(regime, δ) means and checks the
+envelope.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import numpy as np
 
 from ..algorithms import MoveToCenter
 from ..analysis import collapse_to_centers, verify_potential_argument
-from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
 from ..core.simulator import simulate
 from ..offline import solve_line
 from ..workloads import DriftWorkload
-from .runner import scaled, sweep_seeds
+from .orchestrator import SweepSpec, WorkUnit
+from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_potential", "spec"]
+__all__ = ["build_spec", "cell_potential", "finalize"]
 
 _MODULE = "repro.experiments.e11_potential"
 DELTAS = [1.0, 0.5, 0.25]
@@ -57,16 +57,28 @@ def cell_potential(regime: str, delta: float, cell_seed: int, T: int) -> dict:
     }
 
 
-@register_reducer("e11/potential", "per-(regime, delta) potential summary + O(1/delta) envelope")
-def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
-            seed: int) -> Reduction:
-    # Group the per-seed cells by (regime, delta), preserving grid order.
-    groups: dict[tuple, list[Any]] = {}
-    for key, point in points:
-        groups.setdefault((point["regime"], point["delta"]), []).append(cells[key])
+def _points(scale: float, seed: int) -> list[tuple[str, dict[str, Any]]]:
+    """``(unit key, cell coordinates)``, regime- then δ-major."""
+    seeds = sweep_seeds(seed, scaled(3, scale, minimum=2))
+    return [(f"cell/regime={regime}/delta={delta}/cell_seed={cell_seed}",
+             {"regime": regime, "delta": delta, "cell_seed": cell_seed})
+            for regime in REGIMES for delta in DELTAS for cell_seed in seeds]
+
+
+def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
+    T = scaled(250, scale, minimum=80)
+    units = tuple(WorkUnit(key, f"{_MODULE}:cell_potential", {**point, "T": T})
+                  for key, point in _points(scale, seed))
+    return SweepSpec("E11", units, finalize=f"{_MODULE}:finalize", scale=scale, seed=seed)
+
+
+def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
+    cells: dict[tuple[str, float], list[dict]] = {}
+    for key, point in _points(scale, seed):
+        cells.setdefault((point["regime"], point["delta"]), []).append(results[key])
     rows = []
     ok = True
-    for (regime, delta), payloads in groups.items():
+    for (regime, delta), payloads in cells.items():
         violations = sum(c["violations"] for c in payloads)
         rows.append([regime, delta,
                      float(np.mean([c["max_k"] for c in payloads])),
@@ -89,24 +101,11 @@ def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
                      f"(envelope limit {limit:.1f})")
         if ks > limit:
             ok = False
-    return Reduction(rows=rows, notes=notes, passed=ok)
-
-
-def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
-    T = scaled(250, scale, minimum=80)
-    n_seeds = scaled(3, scale, minimum=2)
-    return ExperimentSpec(
+    return ExperimentResult(
         experiment_id="E11",
         title="Potential argument: per-step C_Alg + dPhi <= K * C_Opt along MtC vs DP-OPT",
         headers=["regime", "delta", "max K", "K q95", "violations", "amortised ratio"],
-        reducer="e11/potential",
-        cells=cell_grid(f"{_MODULE}:cell_potential",
-                        axes={"regime": list(REGIMES), "delta": DELTAS,
-                              "cell_seed": sweep_seeds(seed, n_seeds)},
-                        common={"T": T}),
-        scale=scale, seed=seed,
+        rows=rows,
+        notes=notes,
+        passed=ok,
     )
-
-
-def build_spec(scale: float = 1.0, seed: int = 0):
-    return spec(scale, seed).to_sweep()

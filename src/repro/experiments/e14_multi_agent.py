@@ -9,9 +9,9 @@ Theorem-10 dichotomy should survive:
 * divergence the moment one agent is faster (Theorem-8 construction with
   ``k - 1`` idle extra agents at the origin).
 
-Declared as an :class:`~repro.api.ExperimentSpec`: a (k, T, seed) patrol
-grid plus two sprint-contrast cells, folded by the ``e14/multi-agent``
-reducer (per-(k, T) means, flatness check, contrast rows).
+Declared as an orchestrator sweep: a (k, T, seed) patrol grid plus two
+sprint-contrast cells; ``finalize`` takes per-(k, T) means, checks
+flatness and appends the contrast rows.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..adversaries import build_thm8
-from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
 from ..core.simulator import simulate
 from ..extensions import MultiAgentInstance, MultiAgentMtC
 from ..offline import solve_line
 from ..workloads import random_waypoint_path
-from .runner import scaled, sweep_seeds
+from .orchestrator import SweepSpec, WorkUnit
+from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_patrol", "cell_sprint", "spec"]
+__all__ = ["build_spec", "cell_patrol", "cell_sprint", "finalize"]
 
 _MODULE = "repro.experiments.e14_multi_agent"
 D = 4.0
@@ -62,60 +62,60 @@ def cell_sprint(T: int, T_eff: int, seed: int, epsilon: float) -> dict:
     return {"T_adv": adv.params["T"], "ratio": adv.ratio_of(tr.total_cost)}
 
 
-@register_reducer("e14/multi-agent", "per-(k, T) mean ratios + flatness check + sprint contrast")
-def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
-            seed: int) -> Reduction:
-    patrol: dict[tuple, list[float]] = {}
-    sprints: list[str] = []
-    for key, point in points:
-        if key.startswith("sprint/"):
-            sprints.append(key)
-        else:
-            patrol.setdefault((point["k"], point["T"]), []).append(cells[key]["ratio"])
+def _patrol_points(scale: float, seed: int) -> list[tuple[str, dict[str, Any]]]:
+    """``(unit key, cell coordinates)`` of the patrol cells, k- then T-major."""
+    seeds = sweep_seeds(seed, scaled(3, scale, minimum=2))
+    return [(f"patrol/k={k}/T={T}/cell_seed={cell_seed}",
+             {"k": k, "T": T, "cell_seed": cell_seed})
+            for k in KS for T in TS for cell_seed in seeds]
+
+
+def _sprint_points() -> list[tuple[str, dict[str, Any]]]:
+    """``(unit key, cell coordinates)`` of the sprint cells."""
+    return [(f"sprint/T={T}", {"T": T}) for T in SPRINT_TS]
+
+
+def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
+    units = [
+        WorkUnit(key, f"{_MODULE}:cell_patrol",
+                 {**point, "T_eff": scaled(point["T"], scale, minimum=50)})
+        for key, point in _patrol_points(scale, seed)
+    ]
+    units += [
+        WorkUnit(key, f"{_MODULE}:cell_sprint",
+                 {**point, "seed": seed, "epsilon": 1.0,
+                  "T_eff": scaled(point["T"], scale, minimum=64)})
+        for key, point in _sprint_points()
+    ]
+    return SweepSpec("E14", tuple(units), finalize=f"{_MODULE}:finalize",
+                     scale=scale, seed=seed)
+
+
+def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
+    ratios: dict[tuple[int, int], list[float]] = {}
+    for key, point in _patrol_points(scale, seed):
+        ratios.setdefault((point["k"], point["T"]), []).append(results[key]["ratio"])
     rows: list[list[Any]] = []
     ok = True
     flat = {}
     for k in KS:
-        means = []
-        for T in TS:
-            mean = float(np.mean(patrol[(k, T)]))
-            means.append(mean)
-            rows.append([k, T, mean])
+        means = [float(np.mean(ratios[k, T])) for T in TS]
+        rows += [[k, T, mean] for T, mean in zip(TS, means)]
         flat[k] = max(means) / max(min(means), 1e-12)
         if flat[k] > 2.0 or max(means) > 40.0:
             ok = False
-    for key in sprints:
-        rows.append(["1 (eps=1 sprint)", cells[key]["T_adv"], cells[key]["ratio"]])
+    for key, _ in _sprint_points():
+        sprint = results[key]
+        rows.append(["1 (eps=1 sprint)", sprint["T_adv"], sprint["ratio"]])
     notes = [
         "criterion: with m_server >= m_agent the multi-agent MtC keeps flat O(1) certified "
         "ratios for every k, without augmentation (Section 5, multiple agents)",
     ] + [f"k={k}: max/min ratio across T = {v:.2f}" for k, v in flat.items()]
-    return Reduction(rows=rows, notes=notes, passed=ok)
-
-
-def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
-    n_seeds = scaled(3, scale, minimum=2)
-    cells = cell_grid(
-        f"{_MODULE}:cell_patrol",
-        axes={"k": KS, "T": TS, "cell_seed": sweep_seeds(seed, n_seeds)},
-        derive={"T_eff": lambda p: scaled(p["T"], scale, minimum=50)},
-        prefix="patrol",
-    ) + cell_grid(
-        f"{_MODULE}:cell_sprint",
-        axes={"T": SPRINT_TS},
-        common={"seed": seed, "epsilon": 1.0},
-        derive={"T_eff": lambda p: scaled(p["T"], scale, minimum=64)},
-        prefix="sprint",
-    )
-    return ExperimentSpec(
+    return ExperimentResult(
         experiment_id="E14",
         title="Extension: multiple moving clients — Thm 10's dichotomy survives k agents",
         headers=["k agents", "T", "certified ratio"],
-        reducer="e14/multi-agent",
-        cells=cells,
-        scale=scale, seed=seed,
+        rows=rows,
+        notes=notes,
+        passed=ok,
     )
-
-
-def build_spec(scale: float = 1.0, seed: int = 0):
-    return spec(scale, seed).to_sweep()

@@ -12,10 +12,9 @@ DP bracket:
   them return, exactly the failure mode the conclusion hints at when it
   says standard solutions "do not apply".
 
-Declared as an :class:`~repro.api.ExperimentSpec`: one function cell per
-(regime, seed) grid point — the expensive product-grid DP is solved once
-per cell and certifies all three strategies — folded by the
-``e15/k-server`` reducer.
+Declared as an orchestrator sweep: one function cell per (regime, seed)
+point — the expensive product-grid DP is solved once per cell and
+certifies all three strategies — folded by the module ``finalize``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
 from ..extensions import (
     CappedDoubleCoverage,
     KGreedyCenters,
@@ -32,9 +30,10 @@ from ..extensions import (
     simulate_k_servers,
     solve_two_servers_line,
 )
-from .runner import scaled, sweep_seeds
+from .orchestrator import SweepSpec, WorkUnit
+from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_regime", "spec"]
+__all__ = ["build_spec", "cell_regime", "finalize"]
 
 _MODULE = "repro.experiments.e15_multi_server"
 #: regime label → hotspot speed
@@ -78,21 +77,35 @@ def cell_regime(regime: str, cell_seed: int, T: int, grid_size: int) -> dict:
     return {"ratios": ratios}
 
 
-@register_reducer("e15/k-server", "per-(regime, algorithm) mean certified ratios + DC degradation check")
-def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
-            seed: int) -> Reduction:
+def _points(scale: float, seed: int) -> list[tuple[str, dict[str, Any]]]:
+    """``(unit key, cell coordinates)``, regime-major."""
+    seeds = sweep_seeds(seed, scaled(3, scale, minimum=2))
+    return [(f"cell/regime={regime}/cell_seed={cell_seed}",
+             {"regime": regime, "cell_seed": cell_seed})
+            for regime in REGIMES for cell_seed in seeds]
+
+
+def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
+    common = {"T": scaled(120, scale, minimum=50),
+              "grid_size": scaled(160, scale, minimum=128)}
+    units = tuple(WorkUnit(key, f"{_MODULE}:cell_regime", {**point, **common})
+                  for key, point in _points(scale, seed))
+    return SweepSpec("E15", units, finalize=f"{_MODULE}:finalize", scale=scale, seed=seed)
+
+
+def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
+    # regime -> algorithm -> certified ratio per seed
+    ratios: dict[str, dict[str, list[float]]] = {}
+    for key, point in _points(scale, seed):
+        per_alg = ratios.setdefault(point["regime"], {})
+        for name, ratio in results[key]["ratios"]:
+            per_alg.setdefault(name, []).append(ratio)
     rows: list[list[Any]] = []
-    results: dict[tuple[str, str], float] = {}
-    for regime in REGIMES:
-        per_alg: dict[str, list[float]] = {}
-        for key, point in points:
-            if point["regime"] != regime:
-                continue
-            for name, ratio in cells[key]["ratios"]:
-                per_alg.setdefault(name, []).append(ratio)
+    means: dict[tuple[str, str], float] = {}
+    for regime, per_alg in ratios.items():
         for name, vals in per_alg.items():
             mean = float(np.mean(vals))
-            results[(regime, name)] = mean
+            means[(regime, name)] = mean
             rows.append([regime, name, mean])
 
     ok = True
@@ -101,34 +114,21 @@ def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
         "capped Double Coverage degrades on fast drift (conclusion: classical strategies "
         "do not transfer to the capped model unchanged)",
     ]
-    if results[("fast (0.8)", "k-mtc")] > 6.0:
+    if means[("fast (0.8)", "k-mtc")] > 6.0:
         ok = False
         notes.append("UNEXPECTED: k-mtc not competitive on fast drift")
-    if results[("fast (0.8)", "capped-dc")] <= results[("fast (0.8)", "k-mtc")]:
+    if means[("fast (0.8)", "capped-dc")] <= means[("fast (0.8)", "k-mtc")]:
         notes.append("note: capped DC kept pace with k-MtC on this workload")
     else:
         notes.append(
-            f"capped DC degrades on fast drift: {results[('fast (0.8)', 'capped-dc')]:.2f} "
-            f"vs k-mtc {results[('fast (0.8)', 'k-mtc')]:.2f}"
+            f"capped DC degrades on fast drift: {means[('fast (0.8)', 'capped-dc')]:.2f} "
+            f"vs k-mtc {means[('fast (0.8)', 'k-mtc')]:.2f}"
         )
-    return Reduction(rows=rows, notes=notes, passed=ok)
-
-
-def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
-    T = scaled(120, scale, minimum=50)
-    n_seeds = scaled(3, scale, minimum=2)
-    return ExperimentSpec(
+    return ExperimentResult(
         experiment_id="E15",
         title="Extension: two capped mobile servers vs exact 2-server DP",
         headers=["regime", "algorithm", "certified ratio"],
-        reducer="e15/k-server",
-        cells=cell_grid(f"{_MODULE}:cell_regime",
-                        axes={"regime": list(REGIMES),
-                              "cell_seed": sweep_seeds(seed, n_seeds)},
-                        common={"T": T, "grid_size": scaled(160, scale, minimum=128)}),
-        scale=scale, seed=seed,
+        rows=rows,
+        notes=notes,
+        passed=ok,
     )
-
-
-def build_spec(scale: float = 1.0, seed: int = 0):
-    return spec(scale, seed).to_sweep()

@@ -11,9 +11,9 @@ Compares classical Meyerson (static facilities) with the mobile variant
 Both are averaged over seeds; the reported ratio is
 ``cost(static) / cost(mobile)`` (> 1 means mobility wins).
 
-Declared as an :class:`~repro.api.ExperimentSpec`: one function cell per
-(workload, seed index) grid point — each runs the static/mobile pair on
-identical batches — folded by the ``e16/facility`` reducer.
+Declared as an orchestrator sweep: one function cell per (workload, seed
+index) point — each runs the static/mobile pair on identical batches —
+folded by the module ``finalize``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
 from ..extensions import MeyersonStatic, MobileMeyerson, simulate_facilities
-from .runner import scaled, sweep_seeds
+from .orchestrator import SweepSpec, WorkUnit
+from .runner import ExperimentResult, scaled, sweep_seeds
 
-__all__ = ["build_spec", "cell_pair", "spec"]
+__all__ = ["build_spec", "cell_pair", "finalize"]
 
 _MODULE = "repro.experiments.e16_facility"
 WORKLOAD_NAMES = ["drift", "stationary"]
@@ -68,15 +68,33 @@ def cell_pair(workload: str, s: int, cell_seed: int, T: int) -> dict:
             "static_n": st.n_facilities, "mobile_n": mo.n_facilities}
 
 
-@register_reducer("e16/facility", "per-workload static/mobile means + mobility-advantage verdict")
-def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
-            seed: int) -> Reduction:
-    groups: dict[str, list[Any]] = {}
-    for key, point in points:
-        groups.setdefault(point["workload"], []).append(cells[key])
+def _n_seeds(scale: float) -> int:
+    return scaled(5, scale, minimum=3)
+
+
+def _points(scale: float) -> list[tuple[str, dict[str, Any]]]:
+    """``(unit key, cell coordinates)``, workload-major."""
+    return [(f"cell/workload={name}/s={s}", {"workload": name, "s": s})
+            for name in WORKLOAD_NAMES for s in range(_n_seeds(scale))]
+
+
+def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
+    T = scaled(250, scale, minimum=80)
+    seeds = sweep_seeds(seed, _n_seeds(scale))
+    units = tuple(
+        WorkUnit(key, f"{_MODULE}:cell_pair", {**point, "T": T, "cell_seed": seeds[point["s"]]})
+        for key, point in _points(scale)
+    )
+    return SweepSpec("E16", units, finalize=f"{_MODULE}:finalize", scale=scale, seed=seed)
+
+
+def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
+    cells: dict[str, list[dict]] = {}
+    for key, point in _points(scale):
+        cells.setdefault(point["workload"], []).append(results[key])
     rows: list[list[Any]] = []
     wins: dict[str, float] = {}
-    for wl_name, payloads in groups.items():
+    for wl_name, payloads in cells.items():
         static_costs = [c["static_cost"] for c in payloads]
         mobile_costs = [c["mobile_cost"] for c in payloads]
         advantage = float(np.mean(static_costs) / np.mean(mobile_costs))
@@ -91,26 +109,12 @@ def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
         "not lose on stationary demand (advantage > 0.9) — the conclusion's conjecture",
         f"drift advantage x{wins['drift']:.2f}; stationary advantage x{wins['stationary']:.2f}",
     ]
-    return Reduction(rows=rows, notes=notes, passed=ok)
-
-
-def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
-    T = scaled(250, scale, minimum=80)
-    n_seeds = scaled(5, scale, minimum=3)
-    seeds = sweep_seeds(seed, n_seeds)
-    return ExperimentSpec(
+    return ExperimentResult(
         experiment_id="E16",
         title="Extension: mobile Online Facility Location (Meyerson + capped drift)",
         headers=["workload", "static cost", "static #fac", "mobile cost", "mobile #fac",
                  "static/mobile"],
-        reducer="e16/facility",
-        cells=cell_grid(f"{_MODULE}:cell_pair",
-                        axes={"workload": WORKLOAD_NAMES, "s": range(n_seeds)},
-                        common={"T": T},
-                        derive={"cell_seed": lambda p: seeds[p["s"]]}),
-        scale=scale, seed=seed,
+        rows=rows,
+        notes=notes,
+        passed=ok,
     )
-
-
-def build_spec(scale: float = 1.0, seed: int = 0):
-    return spec(scale, seed).to_sweep()

@@ -16,8 +16,8 @@ Three verification modes per δ (see :mod:`repro.analysis.lemma6`):
 The pass criterion covers the two zero-violation modes; the middle mode's
 worst slack is reported as the finding.
 
-Declared as an :class:`~repro.api.ExperimentSpec`: one function cell per
-(δ, dim) grid point, folded by the ``e9/lemma6`` reducer.
+Declared as an orchestrator sweep: one function cell per (δ, dim) point,
+folded by the module ``finalize``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..analysis import figure2_worst_case, sample_lemma6
-from ..api import ExperimentSpec, Reduction, cell_grid, register_reducer
-from .runner import scaled
+from ..api.reducers import reduce_cells
+from .orchestrator import SweepSpec, WorkUnit
+from .runner import ExperimentResult, scaled
 
-__all__ = ["build_spec", "cell_modes", "spec"]
+__all__ = ["build_spec", "cell_modes", "finalize"]
 
 _MODULE = "repro.experiments.e9_lemma6"
 DELTAS = [1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -55,19 +56,26 @@ def cell_modes(delta: float, dim: int, n: int, seed: int) -> dict:
     }
 
 
-@register_reducer("e9/lemma6", "Lemma 6 mode table + worst-finding note")
-def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
-            seed: int) -> Reduction:
-    rows = []
-    ok = True
-    worst_finding = 0.0
-    for key, point in points:
-        c = cells[key]
-        rows.append([point["delta"], point["dim"], c["viol_acute"], c["viol_all"],
-                     c["min_rel_slack"], c["viol_repaired"], c["fig2_slack"]])
-        if c["viol_acute"] or c["viol_repaired"]:
-            ok = False
-        worst_finding = min(worst_finding, c["min_rel_slack"])
+def _points() -> list[tuple[str, dict[str, Any]]]:
+    """``(unit key, axis coordinates)`` in table row order."""
+    return [(f"cell/delta={delta}/dim={dim}", {"delta": delta, "dim": dim})
+            for delta in DELTAS for dim in DIMS]
+
+
+def build_spec(scale: float = 1.0, seed: int = 0) -> SweepSpec:
+    common = {"n": scaled(20000, scale, minimum=2000), "seed": seed}
+    units = tuple(WorkUnit(key, f"{_MODULE}:cell_modes", {**point, **common})
+                  for key, point in _points())
+    return SweepSpec("E9", units, finalize=f"{_MODULE}:finalize", scale=scale, seed=seed)
+
+
+def finalize(results: Mapping[str, Any], scale: float, seed: int) -> ExperimentResult:
+    points = _points()
+    rows = reduce_cells(results, points, ["viol_acute", "viol_all", "min_rel_slack",
+                                          "viol_repaired", "fig2_slack"])
+    cells = [results[key] for key, _ in points]
+    ok = not any(c["viol_acute"] or c["viol_repaired"] for c in cells)
+    worst_finding = min([0.0] + [c["min_rel_slack"] for c in cells])
     notes = [
         "criterion: zero violations for paper/acute (the lemma as proved) and repaired/all modes",
         "finding: the literal all-angle reading of Lemma 6 admits marginal violations "
@@ -75,22 +83,12 @@ def _reduce(cells: Mapping[str, Any], *, points, config, scale: float,
         "(slack 3/4 d^2 in the squared comparison), constants-only impact on Thm 4",
         "fig2_slack -> 0 confirms the 90-degree construction is the tight frontier",
     ]
-    return Reduction(rows=rows, notes=notes, passed=ok)
-
-
-def spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
-    return ExperimentSpec(
+    return ExperimentResult(
         experiment_id="E9",
         title="Lemma 6 (Figs 1-2): premise => h-q >= (1+d/2)/(1+d) a1, three readings",
         headers=["delta", "dim", "viol(acute)", "viol(all)", "min_rel_slack(all)",
                  "viol(repaired)", "fig2_slack"],
-        reducer="e9/lemma6",
-        cells=cell_grid(f"{_MODULE}:cell_modes",
-                        axes={"delta": DELTAS, "dim": DIMS},
-                        common={"n": scaled(20000, scale, minimum=2000), "seed": seed}),
-        scale=scale, seed=seed,
+        rows=rows,
+        notes=notes,
+        passed=ok,
     )
-
-
-def build_spec(scale: float = 1.0, seed: int = 0):
-    return spec(scale, seed).to_sweep()

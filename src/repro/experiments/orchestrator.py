@@ -48,6 +48,7 @@ __all__ = [
     "WorkUnit",
     "execute",
     "execute_spec",
+    "unit_digests",
 ]
 
 
@@ -96,10 +97,13 @@ class WorkUnit:
 class SweepSpec:
     """A declarative experiment: work units plus a finalize function.
 
-    ``meta`` is an optional opaque object handed to the finalize function
-    as an extra ``meta=`` keyword (omitted when ``None``); the declarative
-    :class:`repro.api.ExperimentSpec` uses it to route every experiment
-    through one generic finalize.
+    Every experiment in :data:`repro.experiments.SPECS` is one of these.
+    ``finalize`` is the dotted path of a function called as
+    ``finalize(results, scale=..., seed=...)`` with the non-ephemeral
+    units' payloads keyed by unit key; it returns the experiment's
+    :class:`~repro.experiments.runner.ExperimentResult`.  Only the units
+    enter content addresses, so a finalize-only change reuses every
+    cached cell.
     """
 
     experiment_id: str
@@ -107,7 +111,6 @@ class SweepSpec:
     finalize: str
     scale: float = 1.0
     seed: int = 0
-    meta: Any = None
 
 
 @dataclass
@@ -194,6 +197,23 @@ def _dep_keys(full_key: str, unit: WorkUnit) -> list[str]:
     return _prefixed(full_key, unit.deps + unit.soft_deps)
 
 
+def unit_digests(ordered: Sequence[tuple[str, WorkUnit]]) -> dict[str, str]:
+    """The store address of every ``(namespaced key, unit)`` pair.
+
+    ``ordered`` must list dependencies before their dependents (as
+    :func:`execute` schedules them), since a unit's address covers its
+    hard dependencies' addresses.
+    """
+    digests: dict[str, str] = {}
+    for full, unit in ordered:
+        # Only hard deps enter the address: soft deps are by contract a
+        # deterministic function of the unit's own params, so a payload
+        # computed with or without them is the same payload.
+        dep_digests = {dep: digests[dep] for dep in _prefixed(full, unit.deps)}
+        digests[full] = digest_key(unit.fn, dict(unit.params), dep_digests)
+    return digests
+
+
 def execute(
     specs: Sequence[SweepSpec],
     jobs: int = 1,
@@ -248,14 +268,7 @@ def execute(
             flat.append((full, unit))
     ordered = _toposort(flat)
 
-    digests: dict[str, str] = {}
-    for full, unit in ordered:
-        # Only hard deps enter the address: soft deps are by contract a
-        # deterministic function of the unit's own params, so a payload
-        # computed with or without them is the same payload.
-        dep_digests = {dep: digests[dep] for dep in _prefixed(full, unit.deps)}
-        digests[full] = digest_key(unit.fn, dict(unit.params), dep_digests)
-
+    digests = unit_digests(ordered)
     report = ExecutionReport()
     payloads: dict[str, Any] = {}
     if store is not None and not rerun:
@@ -335,11 +348,7 @@ def execute(
     for spec, prefix in zip(specs, prefixes):
         local = {unit.key: payloads[f"{prefix}/{unit.key}"]
                  for unit in spec.units if not unit.ephemeral}
-        kwargs: dict[str, Any] = {"scale": spec.scale, "seed": spec.seed}
-        if spec.meta is not None:
-            kwargs["meta"] = spec.meta
-        result = _resolve(spec.finalize)(local, **kwargs)
-        report.results.append(result)
+        report.results.append(_resolve(spec.finalize)(local, scale=spec.scale, seed=spec.seed))
     return report
 
 

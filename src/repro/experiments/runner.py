@@ -1,7 +1,8 @@
 """Experiment harness plumbing.
 
-Every experiment module declares its sweep as ``build_spec(scale, seed)
--> SweepSpec`` (see :mod:`repro.experiments.orchestrator`): generic
+Every experiment module declares its sweep the same one way, as
+``build_spec(scale, seed) -> SweepSpec`` (see
+:mod:`repro.experiments.orchestrator`): generic
 scenario cells (:func:`repro.api.runtime.scenario_units`), any
 experiment-specific function cells, and a ``finalize`` that folds the
 cell payloads into an :class:`ExperimentResult`.  ``scale`` shrinks/grows

@@ -59,7 +59,8 @@ def batch_reference(
     else:
         algorithm = spec.algorithm
     batch = simulate_batch(
-        [spec.instance(history)], algorithm, delta=spec.delta, fuse=fuse
+        [spec.instance(history)], algorithm, delta=spec.delta, fuse=fuse,
+        metric=spec.metric,
     )
     return batch.trace(0)
 

@@ -2,11 +2,12 @@
 
 The pool is the serve layer's engine room: every tick it groups sessions
 that have a pending step and share ``(algorithm, params, dim, cost_model)``,
-packs each group into one wide :func:`~repro.core.engine.advance_lanes`
-call — the exact per-step body of ``simulate_batch`` — and commits each
-lane's row back to its session.  Only kernel-capable algorithms pack
-into multi-lane waves; a wave steps the fused kernel at block size
-``K = 1`` (:class:`~repro.algorithms.vectorized.KernelAlgorithm`).
+packs each group into wide :func:`~repro.core.engine.advance_lanes`
+calls — the exact per-step body of ``simulate_batch`` — and commits each
+lane's row back to its session.  Kernel-capable groups
+(:func:`poolable`) step the fused kernel at block size ``K = 1``
+(:class:`~repro.algorithms.vectorized.KernelAlgorithm`), one wave per
+request count; every other group is one scalar-adapter wave.
 
 Bit-parity licensing
 --------------------
@@ -21,17 +22,24 @@ instance bit-for-bit.  Three properties make cross-lane packing safe:
   ``t`` and of the batch composition given carried per-lane state, which
   sessions import/export around each wave
   (:meth:`~repro.core.engine.VectorizedAlgorithm.export_lane_states`);
-* waves are sub-grouped by per-step request count ``r``, so every lane
-  of a wave sees a uniformly packed ``(B, r, d)`` (or all-empty) step —
-  the only shape a kernel steps.
+* kernel waves are sub-grouped by per-step request count ``r``, so every
+  lane of a wave sees a uniformly packed ``(B, r, d)`` (or all-empty)
+  step — the only shape a kernel steps.
 
 Scalar-adapter lanes (algorithms without a kernel such as ``coin-flip``,
 kernels that pool earlier steps, or constructor parameters) may consume
-``t``, so they are never packed into multi-lane waves: the pool advances
-them one lane at a time with their true step index.  With fusion disabled
-(``--no-fuse`` / :func:`~repro.core.kernels.fusion_enabled`), *all*
-lanes take that single-lane path through the scalar reference rules —
-bit-identical, just slower.
+``t``, and their waves may be ragged.  The adapter plays one scalar
+algorithm object per lane, so neither matters: the wave hands it each
+lane's own step index and each lane's own requests.  With fusion
+disabled (``--no-fuse`` / :func:`~repro.core.kernels.fusion_enabled`),
+*all* groups take that adapter path through the scalar reference
+rules — bit-identical, just slower.
+
+The carried object of an adapter lane is the scalar algorithm itself,
+and it decides in place.  A wave that raises after some of its lanes
+decided (a cap violation, or a request the metric rejects) therefore
+rebuilds every lane's object by replaying its committed history, so no
+lane keeps the uncommitted step.
 """
 
 from __future__ import annotations
@@ -52,14 +60,15 @@ from .session import OnlineSession, SessionSpec
 
 __all__ = ["SessionPool", "poolable"]
 
-#: Cap on cached wave runtimes before a full rebuild; membership churn
-#: (sessions opening/closing, request counts shifting between sub-waves)
-#: creates new compositions, and rebinding is cheap relative to leaking.
+#: Cap on cached kernel-wave runtimes before a full rebuild; membership
+#: churn (sessions opening/closing, request counts shifting between
+#: sub-waves) creates new compositions, and rebinding is cheap relative
+#: to leaking.
 _RUNTIME_CACHE_LIMIT = 64
 
 
 def poolable(spec: SessionSpec) -> bool:
-    """Whether lanes of this spec may share a multi-lane wave.
+    """Whether lanes of this spec step fused-kernel waves.
 
     True for parameter-free algorithms with a fused kernel under the
     default metric — those decide independently of ``t`` and of batch
@@ -67,7 +76,7 @@ def poolable(spec: SessionSpec) -> bool:
     ``"stack"`` layout (``lazy``, ``move-to-min``) pool requests of
     earlier steps, which a one-step wave does not carry.  Everything
     else (including every non-euclidean lane: kernels hardcode ℓ2) runs
-    through the scalar adapter one lane at a time.
+    through the scalar adapter.
     """
     kernel = kernel_for(spec.algorithm)
     return (spec.algorithm in VECTORIZED and not spec.algorithm_params
@@ -80,14 +89,12 @@ def _spec_metric(spec: SessionSpec) -> Metric | None:
     return None if spec.metric == "euclidean" else get_metric(spec.metric)
 
 
-def _build_algorithm(spec: SessionSpec, grouped: bool) -> VectorizedAlgorithm:
-    """A wave's batched form, or a single lane's scalar reference."""
-    if grouped:
+def _build_algorithm(spec: SessionSpec, kernel: bool) -> VectorizedAlgorithm:
+    """A wave's fused kernel, or its per-lane scalar reference."""
+    if kernel:
         return VECTORIZED[spec.algorithm]()
     kwargs = spec.algorithm_kwargs()
-    adapter = ScalarBatchAdapter(
-        lambda: make_algorithm(spec.algorithm, **kwargs), name=spec.algorithm
-    )
+    adapter = ScalarBatchAdapter(lambda: make_algorithm(spec.algorithm, **kwargs))
     adapter.metric = _spec_metric(spec)
     return adapter
 
@@ -135,7 +142,6 @@ class SessionPool:
         self.wide = fusion_enabled() if fuse is None else bool(fuse)
         self.sessions: dict[str, OnlineSession] = {}
         self._wave_runtimes: dict[tuple, _WaveRuntime] = {}
-        self._lane_runtimes: dict[str, _WaveRuntime] = {}
         self._seq = 0
 
     def __len__(self) -> int:
@@ -170,7 +176,6 @@ class SessionPool:
             self.tick()
         session.closed = True
         del self.sessions[session_id]
-        self._lane_runtimes.pop(session_id, None)
         self._wave_runtimes = {
             key: rt for key, rt in self._wave_runtimes.items()
             if session_id not in key[1]
@@ -183,11 +188,12 @@ class SessionPool:
         """Advance every session with a pending step by exactly one step.
 
         Returns the number of lanes advanced.  A
-        :class:`~repro.core.validation.MovementCapViolation` in a wave
-        aborts that wave before any of its lanes commit (the batch
-        engine's semantics); other groups are unaffected only if they
-        ran earlier in the tick, so callers should treat a violation as
-        fatal for the offending session and re-tick.
+        :class:`~repro.core.validation.MovementCapViolation` (or any
+        other error) in a wave aborts that wave before any of its lanes
+        commit (the batch engine's semantics) and leaves every lane's
+        carried state as it was; groups that ran earlier in the tick
+        keep their step, so callers should treat a violation as fatal
+        for the offending session and re-tick.
         """
         groups: dict[tuple, list[OnlineSession]] = {}
         for session in self.sessions.values():
@@ -205,12 +211,10 @@ class SessionPool:
                     r = int(session.pending[0].shape[0])
                     sub_waves.setdefault(r, []).append(session)
                 for sub in sub_waves.values():
-                    self._advance_wave(sub, grouped=True)
-                    advanced += len(sub)
+                    self._advance_wave(sub, kernel=True)
             else:
-                for session in lanes:
-                    self._advance_wave([session], grouped=False)
-                    advanced += 1
+                self._advance_wave(lanes, kernel=False)
+            advanced += len(lanes)
         return advanced
 
     def drain(self) -> int:
@@ -224,16 +228,19 @@ class SessionPool:
 
     # -- wave internals --------------------------------------------------
 
-    def _bind(self, sessions: Sequence[OnlineSession], grouped: bool) -> _WaveRuntime:
+    def _bind(self, sessions: Sequence[OnlineSession], kernel: bool) -> _WaveRuntime:
         """Build the engine-side arrays and algorithm for one composition.
 
         Mirrors ``simulate_batch``'s prologue exactly: per-lane caps via
         ``online_cap``, ``D`` and the cost-model mask off the instances,
         ``tol = caps + cap_tolerance(caps)``.
         """
-        algo = _build_algorithm(sessions[0].spec, grouped)
+        algo = _build_algorithm(sessions[0].spec, kernel)
         instances = [s.proto_instance for s in sessions]
-        caps = np.array([s.spec.cap for s in sessions], dtype=np.float64)
+        caps = np.array(
+            [inst.online_cap(float(s.spec.delta)) for s, inst in zip(sessions, instances)],
+            dtype=np.float64,
+        )
         algo.reset_batch(instances, caps)
         return _WaveRuntime(
             algo=algo,
@@ -249,35 +256,28 @@ class SessionPool:
             metric=_spec_metric(sessions[0].spec),
         )
 
-    def _runtime_for(
-        self, sessions: Sequence[OnlineSession], grouped: bool
-    ) -> _WaveRuntime:
-        if not grouped:
-            # Per-lane runtime, keyed by session: keeps scalar-adapter
-            # lanes from re-instantiating their scalar algorithm every
-            # tick (the carried state would make it correct, just slow).
-            sid = sessions[0].session_id
-            runtime = self._lane_runtimes.get(sid)
-            if runtime is None:
-                runtime = self._bind(sessions, grouped)
-                self._lane_runtimes[sid] = runtime
-            return runtime
-        key = (
-            sessions[0].spec.group_key,
-            tuple(s.session_id for s in sessions),
-        )
+    def _runtime_for(self, sessions: Sequence[OnlineSession], kernel: bool) -> _WaveRuntime:
+        if not kernel:
+            # Adapter lanes carry their own algorithm objects and the
+            # adapter builds only the fresh ones, so binding per wave is
+            # cheap, and lane sets that change every tick (staggered
+            # feeds) never churn the kernel runtimes out of the cache.
+            return self._bind(sessions, kernel)
+        # A kernel wave's form follows from its group key, so the
+        # composition alone keys its runtime.
+        key = (sessions[0].spec.group_key, tuple(s.session_id for s in sessions))
         runtime = self._wave_runtimes.get(key)
         if runtime is None:
             if len(self._wave_runtimes) >= _RUNTIME_CACHE_LIMIT:
                 self._wave_runtimes.clear()
-            runtime = self._bind(sessions, grouped)
+            runtime = self._bind(sessions, kernel)
             self._wave_runtimes[key] = runtime
         return runtime
 
     def _advance_wave(
-        self, sessions: Sequence[OnlineSession], grouped: bool
+        self, sessions: Sequence[OnlineSession], kernel: bool
     ) -> None:
-        runtime = self._runtime_for(sessions, grouped)
+        runtime = self._runtime_for(sessions, kernel)
         algo = runtime.algo
         # Sessions own the truth of their lane's decision state; the
         # (possibly recomposed) algorithm instance is rehydrated per wave.
@@ -288,11 +288,10 @@ class SessionPool:
         r = int(counts[0])
         packed = np.stack(pts) if r > 0 and bool(np.all(counts == r)) else None
         step = BatchStepRequests([_OneStep(p) for p in pts], 0, counts, packed)
-        # Multi-lane waves may mix sessions at different step indices;
-        # poolable algorithms never consume ``t`` (that independence is
-        # part of the poolable() contract).  Single-lane waves pass the
-        # lane's true index for the scalar adapter.
-        t = sessions[0].steps
+        # Waves may mix sessions at different step indices, so each lane
+        # gets its own.  Kernels never read ``t`` (part of the poolable()
+        # contract); the scalar adapter hands each lane its index.
+        t = np.array([s.steps for s in sessions])
         try:
             proposed, movement, service, moved = advance_lanes(
                 algo, t, positions, step,
@@ -301,19 +300,13 @@ class SessionPool:
                 counts_service=runtime.counts_service, metric=runtime.metric,
             )
         except Exception:
-            # A failed decide may have mutated the algorithm's internals
-            # without any lane committing; drop the cached runtime so a
-            # retry rebinds from the sessions' (uncorrupted) lane states.
-            # The offending session itself should be closed by the caller
-            # — a cap violation would abort a batch run the same way.
-            if grouped:
-                self._wave_runtimes.pop(
-                    (sessions[0].spec.group_key,
-                     tuple(s.session_id for s in sessions)),
-                    None,
-                )
-            else:
-                self._lane_runtimes.pop(sessions[0].session_id, None)
+            # No lane commits.  A kernel lane's carried state is a copy of
+            # its rows, so the sessions still hold their pre-wave state;
+            # an adapter lane's object may have decided in place and is
+            # rebuilt from its history.
+            if not kernel:
+                for session in sessions:
+                    session.lane_state = _replayed_lane_state(session)
             raise
         states = algo.export_lane_states()
         for i, session in enumerate(sessions):
@@ -323,3 +316,17 @@ class SessionPool:
                 movement[i], service[i], moved[i],
                 states[i],
             )
+
+
+def _replayed_lane_state(session: OnlineSession) -> object:
+    """An adapter lane's carried object after exactly its committed steps.
+
+    Replays the session's history through a fresh single-lane pool of
+    adapter waves — the deterministic replay a checkpoint resume uses —
+    so the rebuilt object is bit-identical to the one it replaces.
+    """
+    replay = SessionPool(fuse=False)
+    shadow = replay.open(session.spec)
+    shadow.feed_steps(session.history, at=0)
+    replay.drain()
+    return shadow.lane_state

@@ -1,7 +1,7 @@
 """Fixture registry with every SPEC001 failure mode.
 
 * ``"E1"`` appears twice in SPECS (the first entry is shadowed);
-* ``e3_imposter`` re-declares ``experiment_id="E1"`` (see that module).
+* ``e3_imposter`` re-declares ``SweepSpec("E1", ...)`` (see that module).
 """
 
 from . import e1_first, e2_second, e3_imposter

@@ -1,10 +1,8 @@
-"""Fixture experiment: id ``E1``."""
+"""Fixture experiment: id ``E1``, passed positionally."""
 
-from repro.api.spec import ExperimentSpec
+from repro.experiments.orchestrator import SweepSpec
 
 
-def build_spec(scale=1.0):
-    return ExperimentSpec(
-        experiment_id="E1",
-        title="first experiment",
-    )
+def build_spec(scale=1.0, seed=0):
+    return SweepSpec("E1", (), finalize="repro.experiments.e1_first:finalize",
+                     scale=scale, seed=seed)

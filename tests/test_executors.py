@@ -1066,16 +1066,17 @@ class TestRunManyExecutor:
             run_many([scenario], jobs=4, executor="inline")
 
     def test_experiment_spec_runs_on_the_spool_backend(self, tmp_path):
-        """The declarative spec surface reaches the distributed backend too."""
-        from repro.experiments.e9_lemma6 import spec
+        """An experiment's function cells reach the distributed backend too."""
+        from repro.experiments.e9_lemma6 import build_spec
+        from repro.experiments.orchestrator import execute_spec
 
-        e9 = spec(scale=0.05, seed=0)
-        inline = e9.run()
+        e9 = build_spec(scale=0.05, seed=0)
+        inline = execute_spec(e9)
         store = ResultsStore(tmp_path / "store")
         with _WorkerThreads(tmp_path / "spool", store, count=1):
-            distributed = e9.run(store=store,
-                                 executor=SpoolExecutor(tmp_path / "spool",
-                                                        poll=0.01, timeout=120))
+            distributed = execute_spec(e9, store=store,
+                                       executor=SpoolExecutor(tmp_path / "spool",
+                                                              poll=0.01, timeout=120))
         assert distributed.render() == inline.render()
 
     def test_run_many_keep_traces_rejected_on_spool(self, tmp_path):

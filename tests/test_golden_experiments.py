@@ -4,8 +4,10 @@
 ``scale=0.15, seed=1``, always captured *before* the refactor that moved
 the experiment onto its current cells landed: the hand-rolled per-seed
 loops of E1, E2, E3, E6, E7 and E12 (moved to scenario cells), of E9,
-E10, E11, E14, E15 and E16 (moved to declarative ``ExperimentSpec``
-grids), of the shared-bracket sweeps of E4 and E8, and of E13's
+E10, E11, E14, E15 and E16 (moved to grids of function cells; their
+tables also held when those grids moved from a second declaration form
+onto plain ``SweepSpec`` units), of the shared-bracket sweeps of E4 and
+E8, and of E13's
 hand-wired bracket and measurement cells (E4, E8 and E13 now run their
 certified ratios as scenario cells).  The migrated experiments must
 reproduce the captured tables *exactly* (every float rendered at 10

@@ -11,6 +11,7 @@ asserts.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -164,7 +165,7 @@ class TestSpec001:
         assert report.findings == [], [f.render() for f in report.findings]
 
     def test_in_module_restatement_allowed(self):
-        # e2_second builds ExperimentSpec(experiment_id="E2") twice; a
+        # e2_second builds SweepSpec for "E2" twice; a
         # repeat inside the owning module must not be flagged.
         root = FIXTURES / "spec001_good"
         report = run_lint([root / "src"], root=root, select=["SPEC001"])
@@ -175,6 +176,34 @@ class TestSpec001:
         (tmp_path / "src" / "other.py").write_text("X = 1\n")
         report = lint_scaffold(tmp_path, select=["SPEC001"])
         assert report.findings == []
+
+    @pytest.mark.parametrize("call", [
+        'SweepSpec("E1", (), finalize="m:f")',
+        'SweepSpec(experiment_id="E2", units=(), finalize="m:f")',
+    ])
+    def test_positional_and_keyword_ids_are_read(self, tmp_path, call):
+        shutil.copytree(FIXTURES / "spec001_good", tmp_path, dirs_exist_ok=True)
+        (tmp_path / "src" / "repro" / "experiments" / "e9_copy.py").write_text(
+            "from repro.experiments.orchestrator import SweepSpec\n\n"
+            f"def build_spec():\n    return {call}\n")
+        report = lint_scaffold(tmp_path, select=["SPEC001"])
+        assert [f.path for f in report.findings] == ["src/repro/experiments/e9_copy.py"]
+        assert "already declared" in report.findings[0].message
+
+    def test_every_real_experiment_module_is_read(self, tmp_path):
+        """A copy of each real experiment module collides with its original."""
+        experiments = tmp_path / "src" / "repro" / "experiments"
+        experiments.mkdir(parents=True)
+        real = REPO_ROOT / "src" / "repro" / "experiments"
+        (experiments / "__init__.py").write_text((real / "__init__.py").read_text())
+        modules = sorted(real.glob("e[0-9]*.py"))
+        for module in modules:
+            (experiments / module.name).write_text(module.read_text())
+            (experiments / f"zz_{module.name}").write_text(module.read_text())
+        report = lint_scaffold(tmp_path, select=["SPEC001"])
+        clashes = sorted(f.message.split("'")[1] for f in report.findings)
+        assert len(modules) == 17
+        assert clashes == sorted(f"E{n}" for n in range(1, 18))
 
 
 class TestSuppressions:

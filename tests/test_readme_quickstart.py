@@ -48,11 +48,11 @@ def test_serve_mode_quickstart_executes(capsys):
 
 
 def test_authoring_an_experiment_executes(capsys):
-    """The '## Authoring an experiment' ExperimentSpec block runs verbatim."""
+    """The '## Authoring an experiment' grid block runs verbatim."""
     match = re.search(r"## Authoring an experiment.*?```python\n(.*?)```",
                       README.read_text(), re.S)
     assert match, "README.md must keep a ```python block under '## Authoring an experiment'"
     exec(compile(match.group(1), "README-authoring", "exec"), {"__name__": "__main__"})
     out = capsys.readouterr().out
-    assert "[EX1]" in out and "greedy-centroid" in out
-    assert "reproduced: YES" in out
+    assert "ratio <=" in out and "greedy-centroid" in out
+    assert "worst certified mean ratio" in out and out.rstrip().endswith("OK")

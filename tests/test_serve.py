@@ -30,7 +30,7 @@ from repro.serve import (
 
 VEC_NAMES = sorted(VECTORIZED)
 #: Kernels serve waves step one step at a time; "stack" kernels pool
-#: earlier steps and run lane by lane through the scalar adapter.
+#: earlier steps and run through the scalar adapter.
 WAVE_KERNELS = sorted(name for name, k in KERNELS.items() if k.layout != "stack")
 COST_MODELS = ("move-first", "answer-first")
 
@@ -194,6 +194,38 @@ class TestPooledParity:
         assert_bit_identical(a, batch_reference(spec_a, hist_a))
         assert_bit_identical(b, batch_reference(spec_b, hist_b))
         assert_bit_identical(c, batch_reference(spec_c, hist_c))
+
+    def test_staggered_scalar_adapter_lanes_share_one_wave(self, monkeypatch):
+        # coin-flip has no kernel: its lanes share one adapter wave per
+        # tick even when they sit at different steps with ragged counts.
+        import repro.serve.pool as pool_module
+
+        calls = []
+        real = pool_module.advance_lanes
+
+        def spy(algo, t, positions, step, **kw):
+            calls.append(np.array(t, copy=True))
+            return real(algo, t, positions, step, **kw)
+
+        monkeypatch.setattr(pool_module, "advance_lanes", spy)
+        rng = np.random.default_rng(37)
+        opens = [0, 3, 7, 8]
+        specs = [make_spec("coin-flip", seed=s) for s in range(len(opens))]
+        assert not any(poolable(spec) for spec in specs)
+        histories = [make_history(rng, 20 - o, 2) for o in opens]
+        pool = SessionPool()
+        sessions = [None] * len(specs)
+        for tick in range(20):
+            for i, spec in enumerate(specs):
+                if tick == opens[i]:
+                    sessions[i] = pool.open(spec, f"c{i}")
+                if tick >= opens[i]:
+                    sessions[i].feed(histories[i][tick - opens[i]], at=tick - opens[i])
+            pool.tick()
+        assert len(calls) == 20  # one advance_lanes call per tick
+        assert calls[-1].tolist() == [19 - o for o in opens]
+        for session, spec, history in zip(sessions, specs, histories):
+            assert_bit_identical(session, batch_reference(spec, history))
 
     def test_wide_packing_matches_solo_lanes(self):
         # A lane advanced inside a packed wave must equal the same lane

@@ -176,6 +176,44 @@ class TestProtocol:
             assert json.dumps(got, sort_keys=True, separators=(",", ":")) == \
                 trace_json(want)
 
+    def test_failed_shared_wave_leaves_other_lanes_intact(self, tmp_path):
+        # pm-coin-flip under the graph metric runs through the scalar
+        # adapter: its three lanes share one wave, and each lane's coin
+        # flip consumes its RNG in place.  A request naming a node that
+        # does not exist fails the wave after the earlier lanes decided;
+        # they must not keep that step, or their streams drift.
+        from repro.core.metric import get_metric
+        from repro.serve import SessionSpec
+
+        graph = get_metric("graph")
+        spec = {"algorithm": "pm-coin-flip", "dim": 3, "start": [0.0, 0.0, 0.0],
+                "D": 2.0, "m": 50.0, "cost_model": "move-first", "delta": 0.0,
+                "metric": "graph"}
+        rng = np.random.default_rng(3)
+        histories = {sid: [[graph.node_point(int(rng.integers(0, graph.n_nodes))).tolist()]
+                           for _ in range(12)] for sid in "abc"}
+        server = make_server(tmp_path)
+        for sid in "abc":
+            assert server.handle({"op": "open", "session": sid, "spec": spec})["ok"]
+
+        def feed_many(t, points):
+            return server.handle({"op": "feed-many", "feeds": [
+                {"session": sid, "points": points[sid], "at": t} for sid in "abc"]})
+
+        for t in range(6):
+            assert feed_many(t, {sid: histories[sid][t] for sid in "abc"})["ok"]
+        bad = {"a": histories["a"][6], "b": histories["b"][6], "c": [[0.0, 99.0, 0.0]]}
+        reply = feed_many(6, bad)
+        assert not reply["ok"] and "outside" in reply["error"]
+        for t in range(6, 12):
+            assert feed_many(t, {sid: histories[sid][t] for sid in "abc"})["ok"]
+        for sid in "abc":
+            got = server.handle({"op": "trace", "session": sid})["trace"]
+            want = batch_reference(SessionSpec.from_dict(spec),
+                                   [np.asarray(p) for p in histories[sid]])
+            assert json.dumps(got, sort_keys=True, separators=(",", ":")) == \
+                trace_json(want)
+
     def test_shutdown_checkpoints_and_stops(self, tmp_path):
         server = make_server(tmp_path)
         server.handle({"op": "open", "session": "s1", "spec": SPEC})
